@@ -93,10 +93,9 @@ def first_deficient_window(matrix) -> int | None:
     """Start index of the first cyclic n-row window with rank < n, else None."""
     arr = gf2.as_bits(matrix, ndim=2)
     m, n = arr.shape
-    ints = gf2._pack_rows(arr)
+    ints = gf2.pack_rows(arr) * 2  # doubled, so every cyclic window is a slice
     for s in range(m):
-        window = [ints[(s + i) % m] for i in range(n)]
-        if gf2._rank_ints(window) < n:
+        if len(gf2.Basis(ints[s:s + n])) < n:
             return s
     return None
 

@@ -184,58 +184,50 @@ def _cmd_verify(args) -> int:
         status = 2
 
     if args.with_oracles:
-        if inst.k <= oracles.MAIS_CAP:
-            brute, _ = oracles.brute_mais(spec.graph)
-            formula = snc.mais(inst)
-            if brute == formula:
-                print(f"oracle_mais\tPASS\tformula={formula}\tbrute={brute}")
-            else:
-                print(f"oracle_mais\tFAIL\tformula={formula}\tbrute={brute}")
+        for which in ("mais", "minrank"):
+            try:
+                ok, fields = _oracle_check(which, inst, spec.graph)
+            except oracles.TooLargeError:
+                print(f"oracle_{which}\tSKIP\treason=cap")
+                continue
+            print(f"oracle_{which}\t{'PASS' if ok else 'FAIL'}\t{fields}")
+            if not ok:
                 status = 2
-        else:
-            print("oracle_mais\tSKIP\treason=cap")
-        free_bits = inst.k * (inst.u + inst.d)
-        if free_bits <= oracles.MINRANK_CAP:
-            stop = max(snc.mais(inst), math.ceil(snc.broadcast_rate(inst)))
-            brute = oracles.brute_minrank2(spec.graph, early_stop=stop)
-            status_rng = snc.minrank_status(inst)
-            if status_rng.lo <= brute <= status_rng.hi:
-                print(f"oracle_minrank\tPASS\tbrute={brute}\texpected={status_rng}")
-            else:
-                print(f"oracle_minrank\tFAIL\tbrute={brute}\texpected={status_rng}")
-                status = 2
-        else:
-            print("oracle_minrank\tSKIP\treason=cap")
     return status
+
+
+def _oracle_check(which: str, inst, graph, cap=None, jobs=1) -> tuple[bool, str]:
+    """Brute-force oracle against the closed form: (agrees, key=value fields).
+
+    Raises oracles.TooLargeError when the search exceeds cap (the oracle's
+    default when None).
+    """
+    if which == "mais":
+        brute, _ = oracles.brute_mais(graph, cap=oracles.MAIS_CAP if cap is None else cap)
+        formula = snc.mais(inst)
+        return brute == formula, f"formula={formula}\tbrute={brute}"
+    stop = max(snc.mais(inst), math.ceil(snc.broadcast_rate(inst)))
+    cap = oracles.MINRANK_CAP if cap is None else cap
+    brute = oracles.brute_minrank2(graph, early_stop=stop, cap=cap, jobs=jobs)
+    expected = snc.minrank_status(inst)
+    return expected.lo <= brute <= expected.hi, f"brute={brute}\texpected={expected}"
 
 
 def _cmd_oracle(args) -> int:
     inst = _instance(args)
     graph = snc.build_graph(inst)
-    try:
-        if args.which == "mais":
-            cap = args.cap if args.cap is not None else oracles.MAIS_CAP
-            brute, witness = oracles.brute_mais(graph, cap=cap)
-            formula = snc.mais(inst)
-            verdict = "PASS" if brute == formula else "FAIL"
-            print(f"mais\tformula={formula}\tbrute={brute}\t{verdict}")
-            return 0 if verdict == "PASS" else 2
-        if args.which == "minrank":
-            cap = args.cap if args.cap is not None else oracles.MINRANK_CAP
-            stop = max(snc.mais(inst), math.ceil(snc.broadcast_rate(inst)))
-            brute = oracles.brute_minrank2(graph, early_stop=stop, cap=cap, jobs=args.jobs)
-            expected = snc.minrank_status(inst)
-            verdict = "PASS" if expected.lo <= brute <= expected.hi else "FAIL"
-            print(f"minrank\tbrute={brute}\texpected={expected}\t{verdict}")
-            return 0 if verdict == "PASS" else 2
-        spec = codec.code_for(inst)
-        decodable = oracles.check_decodable(graph, spec.expanded)
-        verdict = "PASS" if decodable.all() else "FAIL"
-        print(f"decodable\tpass={int(decodable.sum())}/{inst.k}\t{verdict}")
-        return 0 if verdict == "PASS" else 2
-    except oracles.TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.which == "decodable":
+        decodable = oracles.check_decodable(graph, codec.code_for(inst).expanded)
+        ok = bool(decodable.all())
+        fields = f"pass={int(decodable.sum())}/{inst.k}"
+    else:
+        try:
+            ok, fields = _oracle_check(args.which, inst, graph, args.cap, args.jobs)
+        except oracles.TooLargeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    print(f"{args.which}\t{fields}\t{'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 2
 
 
 def _cmd_baseline(args) -> int:
@@ -272,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="closed-form report for one instance")
     _add_instance_flags(p)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--tsv", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("sweep", help="rate table over a range of U values")

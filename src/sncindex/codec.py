@@ -199,7 +199,7 @@ def extract_plan(spec: CodeSpec) -> DecodePlan:
     all receivers of a group share one schedule.
     """
     k1, n = spec.k1, spec.n
-    cols = gf2._pack_rows(spec.air.matrix.T)
+    cols = gf2.pack_rows(spec.air.matrix.T)
     group_sets = [frozenset(g) for g in spec.groups]
 
     fully_known: list[set[int]] = []

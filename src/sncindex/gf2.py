@@ -1,9 +1,9 @@
 """Dense exact linear algebra over GF(2).
 
 Vectors and matrices are numpy arrays with 0/1 entries. Rows are packed
-into Python ints internally, so rank and solve are exact and fast enough
-for exhaustive sweeps. Index 0 of a vector maps to the leftmost character
-in the text format.
+into Python ints and eliminated by one echelon Basis, so rank, inverse
+and span membership are exact and fast enough for exhaustive sweeps.
+Index 0 of a vector maps to the leftmost character in the text format.
 """
 
 from __future__ import annotations
@@ -11,12 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 
-class NoSolutionError(ValueError):
-    """The right-hand side is outside the column space."""
-
-
 class NotUniqueError(ValueError):
-    """The system is consistent but the matrix is singular."""
+    """The matrix is singular."""
 
 
 def as_bits(a, ndim=None) -> np.ndarray:
@@ -33,109 +29,91 @@ def as_bits(a, ndim=None) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def _pack_rows(m: np.ndarray) -> list[int]:
-    # index 0 becomes the most significant bit of each packed int
-    rows, cols = m.shape
+def pack_rows(m: np.ndarray) -> list[int]:
+    """Each row as an int; index 0 becomes the most significant bit."""
     packed = np.packbits(m, axis=1)
-    pad = packed.shape[1] * 8 - cols
+    pad = packed.shape[1] * 8 - m.shape[1]
     return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
 
 
-def _pack_vector(v: np.ndarray) -> int:
-    return _pack_rows(v.reshape(1, -1))[0]
+def unpack_rows(rows: list[int], n: int) -> np.ndarray:
+    """Inverse of pack_rows for ints below 2**n: a len(rows) x n bit matrix."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "big") for r in rows)
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes), axis=1)
+    return bits[:, nbytes * 8 - n:]
 
 
-def _unpack(value: int, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.uint8)
-    for i in range(n):
-        out[i] = (value >> (n - 1 - i)) & 1
-    return out
+class Basis:
+    """Echelon basis of packed rows, one row per leading bit position.
 
+    Rows are never rewritten once stored, so removing the most recently
+    inserted row restores the basis as it was before that insert.
+    """
 
-def _rank_ints(rows) -> int:
-    pivots: dict[int, int] = {}
-    for r in rows:
-        while r:
-            p = r.bit_length()
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = r
-                break
-            r ^= other
-    return len(pivots)
+    __slots__ = ("pivots",)
 
+    def __init__(self, rows=()):
+        pivots: dict[int, int] = {}
+        for r in rows:
+            while r:
+                p = r.bit_length()
+                other = pivots.get(p)
+                if other is None:
+                    pivots[p] = r
+                    break
+                r ^= other
+        self.pivots = pivots
 
-def _jordan_reduce(r: int, pivots: dict[int, int]) -> int:
-    # pivot rows carry no other pivot bits, so one pass suffices
-    for p, v in pivots.items():
-        if (r >> (p - 1)) & 1:
-            r ^= v
-    return r
+    def __len__(self) -> int:
+        return len(self.pivots)
 
+    def copy(self) -> Basis:
+        out = Basis()
+        out.pivots = dict(self.pivots)
+        return out
 
-def _jordan_insert(pivots: dict[int, int], r: int) -> None:
-    p = r.bit_length()
-    for q in pivots:
-        if (pivots[q] >> (p - 1)) & 1:
-            pivots[q] ^= r
-    pivots[p] = r
+    def reduce(self, v: int) -> int:
+        """v plus basis rows until its leading bit has no pivot; 0 iff v lies in the span."""
+        pivots = self.pivots
+        while v:
+            w = pivots.get(v.bit_length())
+            if w is None:
+                return v
+            v ^= w
+        return 0
+
+    def insert(self, v: int) -> int:
+        """Add v to the span; returns the stored row, or 0 when v was already in it."""
+        v = self.reduce(v)
+        if v:
+            self.pivots[v.bit_length()] = v
+        return v
+
+    def remove(self, row: int) -> None:
+        """Undo the latest insert still in effect, given the row it returned."""
+        del self.pivots[row.bit_length()]
 
 
 def rank(m) -> int:
     """GF(2) row rank (equals column rank)."""
-    arr = as_bits(m, ndim=2)
-    return _rank_ints(_pack_rows(arr))
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve the square system a @ x = b over GF(2).
-
-    Raises NoSolutionError when b is outside the column space and
-    NotUniqueError when the matrix is singular but the system is
-    consistent. Callers that expect an invertible matrix should treat
-    either signal as a bug upstream.
-    """
-    aa = as_bits(a, ndim=2)
-    bb = as_bits(b, ndim=1)
-    n = aa.shape[0]
-    if aa.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if bb.shape[0] != n:
-        raise ValueError("right-hand side length must match the matrix")
-    rows = _pack_rows(aa)
-    pivots: dict[int, int] = {}
-    for i in range(n):
-        r = _jordan_reduce((rows[i] << 1) | int(bb[i]), pivots)
-        if r == 1:
-            raise NoSolutionError("right-hand side is outside the column space")
-        if r:
-            _jordan_insert(pivots, r)
-    if len(pivots) < n:
-        raise NotUniqueError("matrix is singular; solution is not unique")
-    x = np.zeros(n, dtype=np.uint8)
-    for p, v in pivots.items():
-        x[n - p + 1] = v & 1
-    return x
+    return len(Basis(pack_rows(as_bits(m, ndim=2))))
 
 
 def invert(a) -> np.ndarray:
-    """Inverse of a square GF(2) matrix; raises NotUniqueError when singular."""
+    """Inverse of a square GF(2) matrix; raises NotUniqueError when singular.
+
+    The augmented rows (row i | e_i) span {(xA | x)}, so reducing (e_p | 0)
+    leaves (0 | row p of the inverse) whenever A has full rank.
+    """
     aa = as_bits(a, ndim=2)
     n = aa.shape[0]
     if aa.shape != (n, n):
         raise ValueError("matrix must be square")
-    rows = _pack_rows(aa)
-    pivots: dict[int, int] = {}
-    for i in range(n):
-        r = _jordan_reduce((rows[i] << n) | (1 << (n - 1 - i)), pivots)
-        if r.bit_length() <= n:
-            raise NotUniqueError("matrix is singular")
-        _jordan_insert(pivots, r)
-    inv = np.zeros((n, n), dtype=np.uint8)
-    mask = (1 << n) - 1
-    for p, v in pivots.items():
-        inv[2 * n - p] = _unpack(v & mask, n)
-    return inv
+    basis = Basis((r << n) | (1 << (n - 1 - i)) for i, r in enumerate(pack_rows(aa)))
+    if any(p <= n for p in basis.pivots):
+        raise NotUniqueError("matrix is singular")
+    return unpack_rows([basis.reduce(1 << (2 * n - 1 - p)) for p in range(n)], n)
 
 
 def span_coefficients(v, basis) -> np.ndarray | None:
@@ -145,27 +123,11 @@ def span_coefficients(v, basis) -> np.ndarray | None:
     if any(b.shape != vv.shape for b in vecs):
         raise ValueError("all vectors must have the same length")
     k = len(vecs)
-    pivots: dict[int, tuple[int, int]] = {}
-    for i, b in enumerate(vecs):
-        vec, coeff = _pack_vector(b), 1 << (k - 1 - i)
-        while vec:
-            p = vec.bit_length()
-            if p in pivots:
-                pv, pc = pivots[p]
-                vec ^= pv
-                coeff ^= pc
-            else:
-                pivots[p] = (vec, coeff)
-                break
-    t, tc = _pack_vector(vv), 0
-    while t:
-        p = t.bit_length()
-        if p not in pivots:
-            return None
-        pv, pc = pivots[p]
-        t ^= pv
-        tc ^= pc
-    return _unpack(tc, k)
+    *packed, target = pack_rows(np.array([*vecs, vv], dtype=np.uint8))
+    # the low k bits of each row record which basis vectors it combines
+    span = Basis((r << k) | (1 << (k - 1 - i)) for i, r in enumerate(packed))
+    t = span.reduce(target << k)
+    return None if t >> k else unpack_rows([t], k)[0]
 
 
 def in_span(v, basis) -> bool:
@@ -185,11 +147,6 @@ def vec_mat(x, m) -> np.ndarray:
     return np.bitwise_xor.reduce(picked, axis=0)
 
 
-def mat_vec(m, x) -> np.ndarray:
-    """Matrix times column vector over GF(2)."""
-    return vec_mat(x, as_bits(m, ndim=2).T)
-
-
 def format_bits(v) -> str:
     return "".join("1" if b else "0" for b in as_bits(v, ndim=1))
 
@@ -206,19 +163,3 @@ def format_matrix(m) -> str:
     arr = as_bits(m, ndim=2)
     return "".join(format_bits(row) + "\n" for row in arr)
 
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Parse the text form; a blank line terminates the matrix."""
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            if rows:
-                break
-            continue
-        rows.append(parse_bits(line))
-    if not rows:
-        raise ValueError("no matrix rows found")
-    if len({r.shape[0] for r in rows}) != 1:
-        raise ValueError("rows must all have the same length")
-    return np.vstack(rows)

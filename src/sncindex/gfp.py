@@ -51,17 +51,6 @@ class PrimeField:
             raise ValueError(f"entries must lie in [0, {self.p})")
         return arr
 
-    def solve(self, a, b) -> np.ndarray:
-        """Unique solution of a @ x = b mod p; raises SingularMatrixError."""
-        aa = self._as_elems(a, 2)
-        bb = self._as_elems(b, 1)
-        n = aa.shape[0]
-        if aa.shape != (n, n) or bb.shape[0] != n:
-            raise ValueError("need a square matrix and a matching vector")
-        aug = np.concatenate([aa, bb[:, None]], axis=1)
-        self._reduce(aug, n)
-        return aug[:, n]
-
     def invert(self, a) -> np.ndarray:
         aa = self._as_elems(a, 2)
         n = aa.shape[0]
@@ -121,18 +110,3 @@ def format_matrix(m) -> str:
     arr = np.asarray(m, dtype=np.int64)
     return "".join(" ".join(str(int(x)) for x in row) + "\n" for row in arr)
 
-
-def parse_matrix(text: str) -> np.ndarray:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            if rows:
-                break
-            continue
-        rows.append([int(tok) for tok in line.split(" ")])
-    if not rows:
-        raise ValueError("no matrix rows found")
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("rows must all have the same length")
-    return np.array(rows, dtype=np.int64)

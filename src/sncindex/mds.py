@@ -21,7 +21,6 @@ from .snc import SncInstance, SideInfoGraph, build_graph
 class MdsCodeSpec:
     inst: SncInstance
     pf: PrimeField
-    points: tuple[int, ...]
     n: int
     generator: np.ndarray
     graph: SideInfoGraph
@@ -33,14 +32,13 @@ def build_mds(inst: SncInstance) -> MdsCodeSpec:
     k = inst.k
     pf = smallest_prime_field(k)
     n = snc.mds_code_length(inst)
-    points = tuple(range(k))
-    gen = np.array([[pow(i, t, pf.p) for t in range(n)] for i in points], dtype=np.int64)
+    gen = np.array([[pow(i, t, pf.p) for t in range(n)] for i in range(k)], dtype=np.int64)
     gen.flags.writeable = False
-    return MdsCodeSpec(inst, pf, points, n, gen, build_graph(inst))
+    return MdsCodeSpec(inst, pf, n, gen, build_graph(inst))
 
 
 def mds_encode(spec: MdsCodeSpec, x) -> np.ndarray:
-    """c_t = sum_i points[i]**t * x_i mod p."""
+    """c_t = sum_i i**t * x_i mod p."""
     xx = spec.pf._as_elems(x, 1)
     if xx.shape[0] != spec.inst.k:
         raise ValueError(f"expected {spec.inst.k} symbols, got {xx.shape[0]}")

@@ -169,7 +169,8 @@ def minrank_status(inst: SncInstance) -> MinrankStatus:
 def length_slack(inst: SncInstance) -> Fraction:
     """Gap between the constructed length and the broadcast rate; always < 2."""
     slack = code_length(inst) - broadcast_rate(inst)
-    assert slack < 2, f"length slack {slack} >= 2 for {inst}"
+    if slack >= 2:
+        raise RuntimeError(f"length slack {slack} >= 2 for {inst}; construction bug")
     return slack
 
 

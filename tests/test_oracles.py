@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ def fitting_minrank_by_enumeration(graph):
                     row |= 1 << j
             rows.append(row)
             off += counts[v]
-        best = min(best, gf2._rank_ints(rows))
+        best = min(best, len(gf2.Basis(rows)))
         if best == 1:
             break
     return best
@@ -120,6 +121,29 @@ def test_brute_minrank_early_stop_agrees():
 def test_brute_minrank_jobs_partition_agrees():
     graph = snc.build_graph(snc.SncInstance(5, 2, 1))
     assert oracles.brute_minrank2(graph, jobs=2) == oracles.brute_minrank2(graph)
+
+
+def test_brute_minrank_jobs_clamped_to_cpu_count(monkeypatch):
+    started = []
+
+    class FakePool:
+        # records the requested worker count and starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [True]
+
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", FakePool)
+    graph = snc.build_graph(snc.SncInstance(12, 6, 2))  # 2^8 candidates for row 0
+    assert oracles.brute_minrank2(graph, cap=10**3, jobs=10**6) == 1
+    assert started and max(started) <= (os.cpu_count() or 1)
 
 
 def test_brute_minrank_cap():

@@ -130,6 +130,13 @@ def test_length_slack_examples():
     assert snc.length_slack(snc.SncInstance(12, 5, 0)) == 0
 
 
+def test_length_slack_violation_raises(monkeypatch):
+    # a RuntimeError, unlike an assert, survives python -O
+    monkeypatch.setattr(snc, "code_length", lambda inst: 10**6)
+    with pytest.raises(RuntimeError):
+        snc.length_slack(snc.SncInstance(20, 9, 2))
+
+
 def test_partial_clique_quantities():
     inst = snc.SncInstance(20, 9, 2)
     assert snc.partial_clique_kappa(inst) == 8
