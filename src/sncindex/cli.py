@@ -1,8 +1,9 @@
 """Command-line front end: construction, analysis, codec, oracles, sweeps.
 
 Exit codes: 0 success, 1 usage or validation error, 2 verification
-mismatch. All tables are TSV with a single header line; --json mirrors
-the same fields.
+mismatch or a construction fault (a singular decoding window, no plan).
+All tables are TSV with a single header line; --json mirrors the same
+fields.
 """
 
 from __future__ import annotations
@@ -327,6 +328,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (codec.SystemSingularError, codec.PlanNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

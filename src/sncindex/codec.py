@@ -5,7 +5,8 @@ shorter); each group's parity is an extended symbol, and the extended
 vector is multiplied by a K1 x N matrix whose cyclic windows are all
 invertible. Every receiver recovers its message by cancelling the
 extended symbols it can compute from side information and solving the
-remaining window.
+remaining window; that whole procedure is one fixed GF(2) row per
+receiver, built once per spec and evaluated on every codeword.
 """
 
 from __future__ import annotations
@@ -55,7 +56,15 @@ class CodeSpec:
     air: AirMatrix
     expanded: np.ndarray
     graph: SideInfoGraph
-    _solvers: dict = field(default_factory=dict, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False)
+
+
+@dataclass(frozen=True, slots=True)
+class DecoderRow:
+    """Receiver k's message as the parity of these code symbols and side-info messages."""
+
+    symbols: tuple[int, ...]
+    side: tuple[int, ...]
 
 
 def build_code(inst: SncInstance) -> CodeSpec:
@@ -117,25 +126,44 @@ def encode(spec: CodeSpec, x) -> np.ndarray:
 
 def _solver_vector(spec: CodeSpec, j: int) -> np.ndarray:
     # column of the inverted window that recovers group j's parity
-    w = spec._solvers.get(j)
-    if w is None:
-        order = [(j + spec.d1 + i) % spec.k1 for i in range(1, spec.n + 1)]
-        try:
-            inv = gf2.invert(spec.air.matrix[order])
-        except gf2.NotUniqueError as exc:
-            raise SystemSingularError(f"window starting after group {j} is singular") from exc
-        w = np.ascontiguousarray(inv[:, spec.n - 1])
-        spec._solvers[j] = w
-    return w
+    order = [(j + spec.d1 + i) % spec.k1 for i in range(1, spec.n + 1)]
+    try:
+        inv = gf2.invert(spec.air.matrix[order])
+    except gf2.NotUniqueError as exc:
+        raise SystemSingularError(f"window starting after group {j} is singular") from exc
+    return inv[:, spec.n - 1]
+
+
+def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
+    """The fixed combination that recovers message k, built once per spec.
+
+    The solver column w of k's window reads its group parity off the
+    codeword once the d1 fully known groups after it are cancelled; a
+    cancelled group g enters through its members exactly when row g of
+    the encoder meets w an odd number of times. The other members of k's
+    own group are stripped last. A group's rows are built together, from
+    one window inverse, and share their symbols.
+    """
+    row = spec._rows.get(k)
+    if row is None:
+        j = spec.group_of[k]
+        w = _solver_vector(spec, j)
+        symbols = tuple(np.flatnonzero(w).tolist())
+        cancelled = [(j + i) % spec.k1 for i in range(1, spec.d1 + 1)]
+        odd = (spec.air.matrix[cancelled] & w).sum(axis=1) & 1
+        known = [msg for g in itertools.compress(cancelled, odd) for msg in spec.groups[g]]
+        for rec in spec.groups[j]:
+            own = [msg for msg in spec.groups[j] if msg != rec]
+            spec._rows[rec] = DecoderRow(symbols, tuple(sorted(own + known)))
+        row = spec._rows[k]
+    return row
 
 
 def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     """Recover message k from the codeword and the receiver's side information.
 
-    The receiver first computes the group parities it fully knows (the d1
-    groups after its own), subtracts their rows from the codeword, solves
-    the remaining cyclic window (always invertible), and finally strips
-    the other messages of its own group.
+    Validates the inputs, then evaluates receiver k's decoder row: the
+    parity of its code symbols and side-info messages.
     """
     if not 0 <= k < spec.inst.k:
         raise ValueError(f"receiver index {k} out of range")
@@ -148,21 +176,11 @@ def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
         )
     if any(v not in (0, 1) for v in side.values()):
         raise ValueError("side information values must be bits")
-    j = spec.group_of[k]
-    c2 = cc.copy()
-    for i in range(1, spec.d1 + 1):
-        g = (j + i) % spec.k1
-        parity = 0
-        for msg in spec.groups[g]:
-            parity ^= side[msg]
-        if parity:
-            c2 ^= spec.air.matrix[g]
-    w = _solver_vector(spec, j)
-    y_j = int((c2 & w).sum() & 1)
-    for msg in spec.groups[j]:
-        if msg != k:
-            y_j ^= side[msg]
-    return y_j
+    row = decoder_row(spec, k)
+    bit = int(cc.take(row.symbols).sum() & 1)
+    for msg in row.side:
+        bit ^= side[msg]
+    return bit
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@
 
 Each receiver misses exactly K-D-U messages, so cancelling the known ones
 leaves a square Vandermonde system on distinct points, which is always
-invertible. Lengths are compared against the main construction in symbols
-per message; the two schemes use different alphabets.
+invertible; the inverse row that yields x_k is the coefficient vector of
+the Lagrange polynomial that is 1 at k and 0 at the other unknown points.
+Lengths are compared against the main construction in symbols per
+message; the two schemes use different alphabets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -45,20 +48,26 @@ def mds_encode(spec: MdsCodeSpec, x) -> np.ndarray:
     return (xx @ spec.generator) % spec.pf.p
 
 
-def _unknown_solver(spec: MdsCodeSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _unknown_solver(spec: MdsCodeSpec, k: int) -> tuple[np.ndarray, list[int]]:
+    # row holds the coefficients of the polynomial L that is 1 at k and 0 at
+    # the other unknown messages, so row . c = x_k + sum of L(j) x_j over the
+    # known j: x_k = row . c - coef . side with coef = [L(j) for known j]
     cached = spec._solvers.get(k)
     if cached is None:
-        unknown = tuple(sorted(set(range(spec.inst.k)) - spec.graph.known_sets[k]))
-        system = spec.generator[list(unknown)].T
+        p = spec.pf.p
+        row, scale = np.ones(1, dtype=np.int64), 1
+        for a in set(range(spec.inst.k)) - spec.graph.known_sets[k] - {k}:
+            row = np.convolve(row, [-a % p, 1]) % p
+            scale = scale * (k - a) % p
+        row = row * spec.pf.inv(scale) % p
         known_rows = spec.generator[list(spec.graph.known[k])]
-        # only the inverse row that isolates x_k is ever needed
-        cached = (spec.pf.invert(system)[unknown.index(k)], known_rows)
+        cached = (row, ((known_rows @ row) % p).tolist())
         spec._solvers[k] = cached
     return cached
 
 
 def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
-    """Subtract known contributions, solve the Vandermonde window, read x_k.
+    """Evaluate receiver k's precomputed row on the codeword and side information.
 
     Codeword and side values are reduced mod p by the arithmetic itself.
     """
@@ -70,10 +79,9 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     known = spec.graph.known[k]
     if side.keys() != spec.graph.known_sets[k]:
         raise ValueError(f"side information must cover exactly the known set of receiver {k}")
-    row, known_rows = _unknown_solver(spec, k)
-    values = np.fromiter((side[j] for j in known), dtype=np.int64, count=len(known))
-    c2 = cc - values @ known_rows
-    return int((row @ c2) % spec.pf.p)
+    row, coef = _unknown_solver(spec, k)
+    known_part = sum(map(mul, coef, map(side.__getitem__, known)))
+    return int((int(row @ cc) - known_part) % spec.pf.p)
 
 
 @dataclass(frozen=True)

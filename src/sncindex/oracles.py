@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from .snc import SideInfoGraph
 
 MAIS_CAP = 20
 MINRANK_CAP = 26
+#: Trials roundtrip_sim evaluates together, one bit of an int each.
+SIM_SLICE = 1024
 
 
 class TooLargeError(ValueError):
@@ -128,14 +131,16 @@ def brute_minrank2(
     cands = _row_candidates(graph)
     start = max(1, early_stop) if early_stop is not None else 1
     jobs = min(jobs, os.cpu_count() or 1)
-    for r in range(start, graph.k + 1):
-        if jobs > 1 and len(cands[0]) > 1:
-            chunks = [cands[0][i::jobs] for i in range(jobs) if cands[0][i::jobs]]
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                if any(pool.map(_minrank_worker, [(cands, r, ch) for ch in chunks])):
-                    return r
-        elif _exists_rank_at_most(cands, r):
-            return r
+    chunks = [cands[0][i::jobs] for i in range(jobs) if cands[0][i::jobs]]
+    # one pool serves every target rank
+    with ProcessPoolExecutor(len(chunks)) if len(chunks) > 1 else nullcontext() as pool:
+        for r in range(start, graph.k + 1):
+            if pool is None:
+                found = _exists_rank_at_most(cands, r)
+            else:
+                found = any(pool.map(_minrank_worker, [(cands, r, ch) for ch in chunks]))
+            if found:
+                return r
     raise AssertionError("identity always fits, so rank K must succeed")
 
 
@@ -171,27 +176,48 @@ class SimReport:
 
 
 def roundtrip_sim(spec: codec.CodeSpec, trials: int, seed: int) -> SimReport:
-    """Encode seeded random messages and decode at every receiver."""
+    """Encode seeded random messages and decode at every receiver.
+
+    Bit-sliced: trials run SIM_SLICE at a time, each message and code
+    symbol one int whose bit t is trial t of the slice, so every
+    receiver's decoder row is evaluated on the whole slice at once.
+    """
     k = spec.inst.k
     rng = np.random.default_rng(seed)
-    known = spec.graph.known
+    rows = []
+    for rec in range(k):
+        try:
+            rows.append(codec.decoder_row(spec, rec))
+        except codec.SystemSingularError as exc:
+            rows.append(f"decode error: {exc}")
+    columns = [np.flatnonzero(col).tolist() for col in spec.air.matrix.T]
     failures = 0
     first = None
-    decodes = 0
-    for t in range(trials):
-        x = rng.integers(0, 2, size=k, dtype=np.uint8)
-        c = codec.encode(spec, x)
-        for rec in range(k):
-            side = {j: int(x[j]) for j in known[rec]}
-            decodes += 1
-            try:
-                got = codec.decode(spec, rec, c, side)
-                ok = got == int(x[rec])
-                detail = "" if ok else f"expected {int(x[rec])}, got {got}"
-            except codec.SystemSingularError as exc:
-                ok, detail = False, f"decode error: {exc}"
-            if not ok:
-                failures += 1
-                if first is None:
-                    first = (t, rec, detail)
-    return SimReport(trials, seed, decodes, failures, first)
+    for base in range(0, trials, SIM_SLICE):
+        size = min(SIM_SLICE, trials - base)
+        xs = np.array([rng.integers(0, 2, size=k, dtype=np.uint8) for _ in range(size)])
+        packed = np.packbits(xs.T, axis=1, bitorder="little")
+        msgs = [int.from_bytes(r.tobytes(), "little") for r in packed]
+        parities = [_xor(msgs[m] for m in group) for group in spec.groups]
+        code = [_xor(parities[g] for g in col) for col in columns]
+        for rec, row in enumerate(rows):
+            if isinstance(row, str):
+                wrong = (1 << size) - 1
+            else:
+                got = _xor(code[t] for t in row.symbols) ^ _xor(msgs[m] for m in row.side)
+                wrong = got ^ msgs[rec]
+            if wrong:
+                failures += wrong.bit_count()
+                t = (wrong & -wrong).bit_length() - 1
+                if first is None or (base + t, rec) < first[:2]:
+                    want = msgs[rec] >> t & 1
+                    detail = row if isinstance(row, str) else f"expected {want}, got {want ^ 1}"
+                    first = (base + t, rec, detail)
+    return SimReport(trials, seed, max(trials, 0) * k, failures, first)
+
+
+def _xor(ints) -> int:
+    acc = 0
+    for v in ints:
+        acc ^= v
+    return acc

@@ -1,13 +1,15 @@
 """Acceptance suite: one test per criterion, one pass/fail line each.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The heavy sweeps
-(criteria 3, 6, 10) take a few minutes combined.
+Run with `pytest tests/test_acceptance.py -v -s`; each line ends with
+the criterion's wall time.
 """
 
 import math
+import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sncindex import air, codec, gf2, mds, oracles, snc
 from sncindex.cli import main, truncated_rate
@@ -23,8 +25,18 @@ def instances(k_max, include_full=False):
                 yield snc.SncInstance(k, d, u)
 
 
+_started = [0.0]
+
+
+@pytest.fixture(autouse=True)
+def _clock():
+    _started[0] = time.perf_counter()
+    yield
+
+
 def report(name, detail=""):
-    print(f"ACCEPTANCE {name}: PASS {detail}".rstrip())
+    elapsed = time.perf_counter() - _started[0]
+    print(f"ACCEPTANCE {name}: PASS {detail}".rstrip() + f" [{elapsed:.1f} s]")
 
 
 def test_criterion_01_air_7x5_exact():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sncindex import codec
 from sncindex.cli import main, truncated_rate
 from fractions import Fraction
 
@@ -203,3 +204,19 @@ def test_commands_are_deterministic(capsys):
     first = run(capsys, "analyze", "--k", "20", "--d", "9", "--u", "2")
     second = run(capsys, "analyze", "--k", "20", "--d", "9", "--u", "2")
     assert first == second
+
+
+@pytest.mark.parametrize("argv,target,exc", [
+    (("decode", "--k", "20", "--d", "9", "--u", "2", "--receiver", "4", "--code", "10000",
+      "--sideinfo", "??11?100101101??????"), "decode", codec.SystemSingularError),
+    (("plan", "--k", "20", "--d", "9", "--u", "2"), "extract_plan", codec.PlanNotFoundError),
+    (("verify", "--k", "20", "--d", "9", "--u", "2"), "code_for", codec.SystemSingularError),
+    (("verify", "--k", "20", "--d", "9", "--u", "2"), "code_for", codec.PlanNotFoundError),
+])
+def test_construction_faults_exit_2(capsys, monkeypatch, argv, target, exc):
+    def fault(*args, **kwargs):
+        raise exc("construction fault")
+
+    monkeypatch.setattr(codec, target, fault)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: construction fault\n")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sncindex import codec, snc
+from sncindex import codec, gf2, snc
 
 K20 = snc.SncInstance(20, 9, 2)
 
@@ -222,3 +224,68 @@ def test_plan_single_sum():
     spec = codec.single_sum_code(snc.SncInstance(5, 3, 1))
     plan = codec.extract_plan(spec)
     assert plan.table_rows() == [(0, 4, (0,))]
+
+
+def valid_instances(k_max):
+    for k in range(2, k_max + 1):
+        for d in range(k):
+            for u in range(min(d, k - 1 - d) + 1):
+                yield snc.SncInstance(k, d, u)
+
+
+def assert_decoder_certificate(spec):
+    # decoding is linear, so x_k = (code symbols + side messages of the row)
+    # for every one of the 2^K messages iff their coefficients sum to e_k
+    k = spec.inst.k
+    cols = gf2.pack_rows(np.ascontiguousarray(spec.expanded.T))
+    for rec in range(k):
+        row = codec.decoder_row(spec, rec)
+        assert set(row.side) <= spec.graph.known_sets[rec], (spec.inst, rec)
+        acc = 0
+        for t in row.symbols:
+            acc ^= cols[t]
+        for msg in row.side:
+            acc ^= 1 << (k - 1 - msg)
+        assert acc == 1 << (k - 1 - rec), (spec.inst, rec)
+
+
+def test_decoder_rows_certified_up_to_k40():
+    for inst in valid_instances(40):
+        assert_decoder_certificate(codec.code_for(inst))
+
+
+@pytest.mark.parametrize("u", range(1, 11))
+def test_decoder_rows_certified_paper_table(u):
+    assert_decoder_certificate(codec.build_code(snc.SncInstance(827, 23, u)))
+
+
+def test_certificate_rejects_wrong_solver_column(monkeypatch):
+    solve = codec._solver_vector
+
+    def flipped(spec, j):
+        w = solve(spec, j).copy()
+        if j == 3:
+            w[0] ^= 1
+        return w
+
+    monkeypatch.setattr(codec, "_solver_vector", flipped)
+    with pytest.raises(AssertionError):
+        assert_decoder_certificate(codec.build_code(K20))
+
+
+@st.composite
+def instances(draw, k_max):
+    k = draw(st.integers(2, k_max))
+    d = draw(st.integers(0, k - 1))
+    u = draw(st.integers(0, min(d, k - 1 - d)))
+    return snc.SncInstance(k, d, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=instances(300), seed=st.integers(0, 2**32 - 1))
+def test_decode_recovers_every_message_property(inst, seed):
+    spec = codec.code_for(inst)
+    x = np.random.default_rng(seed).integers(0, 2, size=inst.k, dtype=np.uint8)
+    c = codec.encode(spec, x)
+    for k in range(inst.k):
+        assert codec.decode(spec, k, c, side_of(spec.graph, x, k)) == x[k]

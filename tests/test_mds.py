@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sncindex import mds, snc
 
@@ -67,6 +69,17 @@ def test_decode_round_trip_small():
                 assert mds.mds_decode(spec, rec, c, side_of(spec.graph, x, rec)) == x[rec]
 
 
+@pytest.mark.parametrize("k,d,u", [(4, 1, 0), (9, 4, 2), (13, 3, 1), (40, 5, 2), (40, 0, 0)])
+def test_decoder_row_is_the_inverse_row(k, d, u):
+    # the Lagrange coefficients equal the generic inverse of the unknown window
+    spec = mds.build_mds(snc.SncInstance(k, d, u))
+    for rec in range(k):
+        unknown = sorted(set(range(k)) - spec.graph.known_sets[rec])
+        inverse = spec.pf.invert(spec.generator[unknown].T)
+        row, _ = mds._unknown_solver(spec, rec)
+        assert row.tolist() == inverse[unknown.index(rec)].tolist()
+
+
 def test_decode_clique_case_is_subtraction():
     inst = snc.SncInstance(5, 3, 1)
     spec = mds.build_mds(inst)
@@ -109,3 +122,21 @@ def test_compare_lengths_examples():
 def test_compare_lengths_rejects_full_side_info():
     with pytest.raises(snc.FullSideInfo):
         mds.compare_lengths(snc.SncInstance(5, 3, 1))
+
+
+@st.composite
+def instances(draw, k_max):
+    k = draw(st.integers(2, k_max))
+    d = draw(st.integers(0, k - 1))
+    u = draw(st.integers(0, min(d, k - 1 - d)))
+    return snc.SncInstance(k, d, u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=instances(60), seed=st.integers(0, 2**32 - 1))
+def test_decode_recovers_every_symbol_property(inst, seed):
+    spec = mds.build_mds(inst)
+    x = np.random.default_rng(seed).integers(0, spec.pf.p, size=inst.k)
+    c = mds.mds_encode(spec, x)
+    for k in range(inst.k):
+        assert mds.mds_decode(spec, k, c, side_of(spec.graph, x, k)) == x[k]

@@ -1,5 +1,6 @@
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,6 +147,32 @@ def test_brute_minrank_jobs_clamped_to_cpu_count(monkeypatch):
     assert started and max(started) <= (os.cpu_count() or 1)
 
 
+def test_brute_minrank_opens_one_pool(monkeypatch):
+    graph = snc.build_graph(snc.SncInstance(8, 2, 1))
+    serial = oracles.brute_minrank2(graph)
+    built = []
+
+    class InlinePool:
+        # counts the pools built and runs the workers in this process
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(oracles.os, "cpu_count", lambda: 2)
+    assert oracles.brute_minrank2(graph, jobs=2) == serial
+    assert serial > 1  # several target ranks were tried
+    assert built == [2]
+
+
 def test_brute_minrank_cap():
     with pytest.raises(oracles.TooLargeError):
         oracles.brute_minrank2(snc.build_graph(snc.SncInstance(7, 3, 1)))
@@ -237,3 +264,82 @@ def test_roundtrip_sim_deterministic():
     a = oracles.roundtrip_sim(spec, 20, seed=99)
     b = oracles.roundtrip_sim(spec, 20, seed=99)
     assert a == b
+
+
+def reference_sim(spec, trials, seed):
+    # the plain loop: encode each trial, decode it at every receiver
+    k = spec.inst.k
+    rng = np.random.default_rng(seed)
+    decodes, failures, first = 0, 0, None
+    for t in range(trials):
+        x = rng.integers(0, 2, size=k, dtype=np.uint8)
+        c = codec.encode(spec, x)
+        for rec in range(k):
+            side = {j: int(x[j]) for j in spec.graph.known[rec]}
+            decodes += 1
+            try:
+                got = codec.decode(spec, rec, c, side)
+                detail = None if got == x[rec] else f"expected {int(x[rec])}, got {got}"
+            except codec.SystemSingularError as exc:
+                detail = f"decode error: {exc}"
+            if detail is not None:
+                failures += 1
+                if first is None:
+                    first = (t, rec, detail)
+    return oracles.SimReport(trials, seed, decodes, failures, first)
+
+
+def wrong_solver_spec(inst, *groups):
+    # decoder rows built from solver columns with one flipped entry in the
+    # given groups: wrong answers, no singular window
+    spec = codec.build_code(inst)
+    solve = codec._solver_vector
+
+    def flipped(spec, j):
+        w = solve(spec, j).copy()
+        if j in groups:
+            w[j % spec.n] ^= 1
+        return w
+
+    with mock.patch.object(codec, "_solver_vector", flipped):
+        for k in range(inst.k):
+            codec.decoder_row(spec, k)
+    return spec
+
+
+@pytest.mark.parametrize("k,d,u", [(20, 9, 2), (9, 5, 3), (12, 3, 0), (40, 10, 3), (2, 0, 0)])
+def test_roundtrip_sim_matches_reference_healthy(k, d, u):
+    spec = codec.code_for(snc.SncInstance(k, d, u))
+    report = oracles.roundtrip_sim(spec, 30, seed=k + d + u)
+    assert report == reference_sim(spec, 30, seed=k + d + u)
+    assert report.passed
+
+
+def test_roundtrip_sim_matches_reference_wrong_answers():
+    spec = wrong_solver_spec(snc.SncInstance(20, 9, 2), 1, 3)
+    report = oracles.roundtrip_sim(spec, 40, seed=0)
+    assert report == reference_sim(spec, 40, seed=0)
+    # group 3 (receivers 9-11) fails at an earlier trial than group 1 (3-5)
+    assert report.first_failure[:2] == (1, 9)
+    assert report.first_failure[2].startswith("expected ")
+    assert 0 < report.failures < report.decodes
+
+
+def test_roundtrip_sim_matches_reference_corrupted():
+    from sncindex.cli import _corrupted
+
+    for inst in [snc.SncInstance(20, 9, 2), snc.SncInstance(12, 3, 0), snc.SncInstance(9, 5, 3)]:
+        spec = _corrupted(codec.code_for(inst))
+        report = oracles.roundtrip_sim(spec, 25, seed=8)
+        assert report == reference_sim(spec, 25, seed=8)
+        assert report.first_failure[2].startswith("decode error: ")
+
+
+@pytest.mark.parametrize("delta", [None, -1, 0, 1])
+def test_roundtrip_sim_matches_reference_across_slices(delta):
+    trials = [-1, 0, 1] if delta is None else [oracles.SIM_SLICE + delta]
+    healthy = codec.build_code(snc.SncInstance(6, 2, 1))
+    wrong = wrong_solver_spec(snc.SncInstance(7, 3, 0), 2)
+    for n in trials:
+        for spec in (healthy, wrong):
+            assert oracles.roundtrip_sim(spec, n, seed=7) == reference_sim(spec, n, seed=7)
