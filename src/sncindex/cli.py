@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=["mais", "minrank", "decodable"])
     _add_instance_flags(p)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for minrank (mais and decodable ignore it)")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("baseline", help="Vandermonde scheme over GF(p)")

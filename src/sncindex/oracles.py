@@ -18,6 +18,8 @@ from . import codec, gf2
 from .snc import SideInfoGraph
 
 MAIS_CAP = 20
+#: brute_mais fills its subset table 2^MAIS_BLOCK consecutive masks at a time.
+MAIS_BLOCK = 12
 MINRANK_CAP = 26
 #: Trials roundtrip_sim evaluates together, one bit of an int each.
 SIM_SLICE = 1024
@@ -30,33 +32,52 @@ class TooLargeError(ValueError):
 def brute_mais(graph: SideInfoGraph, cap: int = MAIS_CAP) -> tuple[int, tuple[int, ...]]:
     """Largest vertex set inducing an acyclic subgraph, with one witness.
 
-    Subsets are scanned as bitmasks in increasing order; a set is acyclic
-    iff it has a sink (a vertex with no edges into the rest of the set)
-    whose removal leaves an acyclic set, since no cycle passes through a
-    sink.
+    A set is acyclic iff it is empty or its lowest sink (a vertex with no
+    edges into the rest of the set) leaves an acyclic set when removed,
+    since no cycle passes through a sink. The table over all 2^K subset
+    bitmasks is filled in blocks of 2^MAIS_BLOCK consecutive masks. Inside
+    a block, masks go in layers by the popcount of their low bits: a sink
+    among the low bits points to a lower layer of the same block, any
+    other sink to an earlier block. The witness is the first mask in
+    increasing order that reaches the maximum size.
     """
     k = graph.k
     if k > cap:
         raise TooLargeError(f"K={k} exceeds the 2^K subset cap of {cap}")
+    try:
+        acyclic = np.zeros(1 << k, dtype=np.uint8)
+    except MemoryError:
+        raise TooLargeError(f"K={k}: the 2^K subset table does not fit in memory") from None
+    acyclic[0] = 1
     out_mask = [0] * k
     for v in range(k):
         for w in graph.known[v]:
             out_mask[v] |= 1 << w
-    acyclic = bytearray(1 << k)
-    acyclic[0] = 1
+        out_mask[v] &= ~(1 << v)
+    c = min(MAIS_BLOCK, k)
+    low = np.arange(1 << c, dtype=np.int64)
+    low_size = np.array([t.bit_count() for t in range(1 << c)], dtype=np.uint8)
+    # sink[v, t]: v is a sink of low bits t, in any block whose high bits
+    # hold v (if v >= c) and none of v's out-neighbours; row k means "none"
+    sink = np.ones((k + 1, 1 << c), dtype=bool)
+    for v in range(k):
+        sink[v] = (low & out_mask[v]) == 0
+        if v < c:
+            sink[v] &= (low >> v & 1) == 1
+    removal = np.array([1 << v for v in range(k)] + [0], dtype=np.int64)
+    layers = [np.flatnonzero(low_size == p) for p in range(c + 1)]
     best, best_mask = 0, 0
-    for mask in range(1, 1 << k):
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if out_mask[v] & mask & ~(1 << v) == 0:
-                acyclic[mask] = acyclic[mask ^ (1 << v)]
-                break
-        if acyclic[mask]:
-            size = mask.bit_count()
-            if size > best:
-                best, best_mask = size, mask
+    for base in range(0, 1 << k, 1 << c):
+        cand = [v for v in range(k) if (v < c or base >> v & 1) and out_mask[v] & base == 0]
+        cand.append(k)
+        bit = removal[cand][sink[cand].argmax(axis=0)]  # lowest sink's bit, 0 if none
+        for layer in layers[1:] if base == 0 else layers:  # mask 0 is set above
+            mask, b = base + layer, bit[layer]
+            acyclic[mask] = acyclic[mask ^ b] & (b != 0)
+        size = np.where(acyclic[base:base + (1 << c)], low_size + base.bit_count(), 0)
+        top = int(size.argmax())
+        if size[top] > best:
+            best, best_mask = int(size[top]), base + top
     witness = tuple(v for v in range(k) if best_mask >> v & 1)
     return best, witness
 
@@ -87,6 +108,9 @@ def _exists_rank_at_most(cands: list[list[int]], r: int, first: list[int] | None
     def go(i: int, rank: int) -> bool:
         if i == k:
             return True
+        if rank == r:
+            # at full rank only zero residues extend the prefix, and the basis stays fixed
+            return all(any(reduce(o) == 0 for o in cands[j]) for j in range(i, k))
         options = first if (i == 0 and first is not None) else cands[i]
         # distinct residues in first-seen order, the zero residue first
         for red in sorted(dict.fromkeys(map(reduce, options)), key=bool):
@@ -195,7 +219,7 @@ def roundtrip_sim(spec: codec.CodeSpec, trials: int, seed: int) -> SimReport:
     first = None
     for base in range(0, trials, SIM_SLICE):
         size = min(SIM_SLICE, trials - base)
-        xs = np.array([rng.integers(0, 2, size=k, dtype=np.uint8) for _ in range(size)])
+        xs = _draw_messages(rng, size, k)
         packed = np.packbits(xs.T, axis=1, bitorder="little")
         msgs = [int.from_bytes(r.tobytes(), "little") for r in packed]
         parities = [_xor(msgs[m] for m in group) for group in spec.groups]
@@ -214,6 +238,17 @@ def roundtrip_sim(spec: codec.CodeSpec, trials: int, seed: int) -> SimReport:
                     detail = row if isinstance(row, str) else f"expected {want}, got {want ^ 1}"
                     first = (base + t, rec, detail)
     return SimReport(trials, seed, max(trials, 0) * k, failures, first)
+
+
+def _draw_messages(rng: np.random.Generator, trials: int, k: int) -> np.ndarray:
+    """A (trials, k) 0/1 array: the bits, and the generator state after, of
+    one rng.integers(0, 2, size=k, dtype=np.uint8) per trial.
+
+    Each such call draws ceil(k/4) uint32 words and takes the top bit of
+    each byte, low byte first, dropping what is left of its last word.
+    """
+    words = rng.integers(0, 2**32, size=(trials, -(-k // 4)), dtype=np.uint32)
+    return words.astype("<u4").view(np.uint8)[:, :k] >> 7
 
 
 def _xor(ints) -> int:

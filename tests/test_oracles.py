@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import random
 from unittest import mock
 
 import numpy as np
@@ -74,6 +76,90 @@ def test_brute_mais_formula_small_sweep():
 def test_brute_mais_cap():
     with pytest.raises(oracles.TooLargeError):
         oracles.brute_mais(snc.build_graph(snc.SncInstance(25, 2, 1)))
+
+
+def scalar_brute_mais(graph):
+    # the mask-by-mask loop brute_mais replaced: lowest sink, then the table
+    k = graph.k
+    out_mask = [0] * k
+    for v in range(k):
+        for w in graph.known[v]:
+            out_mask[v] |= 1 << w
+    acyclic = bytearray(1 << k)
+    acyclic[0] = 1
+    best, best_mask = 0, 0
+    for mask in range(1, 1 << k):
+        rest = mask
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if out_mask[v] & mask & ~(1 << v) == 0:
+                acyclic[mask] = acyclic[mask ^ (1 << v)]
+                break
+        if acyclic[mask]:
+            size = mask.bit_count()
+            if size > best:
+                best, best_mask = size, mask
+    witness = tuple(v for v in range(k) if best_mask >> v & 1)
+    return best, witness
+
+
+def test_brute_mais_matches_scalar_reference_up_to_12():
+    for inst in all_instances(12):
+        graph = snc.build_graph(inst)
+        assert oracles.brute_mais(graph) == scalar_brute_mais(graph), inst
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_brute_mais_matches_scalar_reference_around_block(offset):
+    k = oracles.MAIS_BLOCK + offset
+    for d in range(k):
+        for u in range(min(d, k - 1 - d) + 1):
+            graph = snc.build_graph(snc.SncInstance(k, d, u))
+            assert oracles.brute_mais(graph) == scalar_brute_mais(graph), (k, d, u)
+
+
+@pytest.mark.parametrize("k", [16, 17, 18])
+def test_brute_mais_matches_scalar_reference_seeded(k):
+    rng = random.Random(f"mais/{k}")
+    d = rng.randint(3, k - 3)
+    inst = snc.SncInstance(k, d, rng.randint(0, min(d, k - 1 - d)))
+    graph = snc.build_graph(inst)
+    assert oracles.brute_mais(graph) == scalar_brute_mais(graph), inst
+
+
+def test_brute_mais_matches_scalar_reference_random_digraphs():
+    # not circulant: sinks, cycles and edge counts vary from vertex to vertex
+    rng = random.Random(4)
+    for k in [1, 2, 5, 9, 13, 14]:
+        for density in [0.1, 0.3, 0.6]:
+            known = tuple(
+                tuple(w for w in range(k) if w != v and rng.random() < density)
+                for v in range(k)
+            )
+            graph = snc.SideInfoGraph(k, known, tuple(frozenset(a) for a in known))
+            assert oracles.brute_mais(graph) == scalar_brute_mais(graph), known
+
+
+def test_brute_mais_table_out_of_memory(monkeypatch, capsys):
+    from sncindex import cli
+
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        # refuses the 2^K table as an allocator would, allocates nothing large
+        if np.prod(shape) > 1 << 24:
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(oracles.np, "zeros", small_zeros)
+    graph = snc.build_graph(snc.SncInstance(40, 3, 1))
+    with pytest.raises(oracles.TooLargeError):
+        oracles.brute_mais(graph, cap=40)
+    assert cli.main(["oracle", "mais", "--k", "40", "--d", "3", "--u", "1", "--cap", "40"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: K=40: the 2^K subset table does not fit in memory\n"
 
 
 def fitting_minrank_by_enumeration(graph):
@@ -173,6 +259,23 @@ def test_brute_minrank_opens_one_pool(monkeypatch):
     assert built == [2]
 
 
+@pytest.mark.parametrize("k,d,u", [(4, 2, 0), (4, 1, 1), (5, 1, 1), (6, 1, 1), (5, 2, 1)])
+def test_rank_search_matches_enumeration_per_partition(k, d, u):
+    # every target rank and every --jobs slice of row 0's options, against
+    # the ranks of all fitting matrices whose row 0 lies in the slice
+    graph = snc.build_graph(snc.SncInstance(k, d, u))
+    cands = oracles._row_candidates(graph)
+    ranks = {}
+    for rows in itertools.product(*cands):
+        rank = len(gf2.Basis(rows))
+        ranks[rows[0]] = min(ranks.get(rows[0], k), rank)
+    for jobs in [1, 2, 3]:
+        for chunk in (cands[0][i::jobs] for i in range(jobs)):
+            for r in range(1, k + 1):
+                want = min(ranks[row] for row in chunk) <= r
+                assert oracles._exists_rank_at_most(cands, r, first=chunk) == want
+
+
 def test_brute_minrank_cap():
     with pytest.raises(oracles.TooLargeError):
         oracles.brute_minrank2(snc.build_graph(snc.SncInstance(7, 3, 1)))
@@ -235,6 +338,18 @@ def test_check_decodable_against_span_membership():
             basis = [a[:, t] for t in range(3)]
             basis += [np.eye(8, dtype=np.uint8)[j] for j in graph.known[k]]
             assert got[k] == gf2.in_span(np.eye(8, dtype=np.uint8)[k], basis)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9, 40, 827])
+def test_slice_draw_matches_per_trial_draws(k):
+    for size in [1, 7, 1024]:
+        per_trial = np.random.default_rng(k + size)
+        sliced = np.random.default_rng(k + size)
+        want = np.array([per_trial.integers(0, 2, size=k, dtype=np.uint8) for _ in range(size)])
+        got = oracles._draw_messages(sliced, size, k)
+        assert got.shape == (size, k)
+        assert np.array_equal(got, want)
+        assert sliced.bit_generator.state == per_trial.bit_generator.state
 
 
 def test_roundtrip_sim_passes():
