@@ -162,6 +162,8 @@ def _corrupted(spec: codec.CodeSpec) -> codec.CodeSpec:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative (got {args.trials})")
     inst = _instance(args)
     spec = codec.code_for(inst)
     if args.corrupt:

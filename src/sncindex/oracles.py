@@ -82,54 +82,72 @@ def brute_mais(graph: SideInfoGraph, cap: int = MAIS_CAP) -> tuple[int, tuple[in
     return best, witness
 
 
-def _row_candidates(graph: SideInfoGraph) -> list[list[int]]:
-    # every fitting row for k: 1 on the diagonal plus any subset of the known set
-    cands = []
-    for k in range(graph.k):
-        adj = graph.known[k]
-        row_base = 1 << k
-        options = []
-        for pick in range(1 << len(adj)):
-            v = row_base
-            for i, j in enumerate(adj):
-                if pick >> i & 1:
-                    v |= 1 << j
-            options.append(v)
-        options.sort(key=lambda v: (-v.bit_count(), v))
-        cands.append(options)
-    return cands
+def _row0_options(known) -> list[int]:
+    # every fitting row 0: bit 0 plus any subset of known[0], most bits first
+    options = [1]
+    for j in known[0]:
+        options += [v | 1 << j for v in options]
+    return sorted(options, key=lambda v: (-v.bit_count(), v))
 
 
-def _exists_rank_at_most(cands: list[list[int]], r: int, first: list[int] | None = None) -> bool:
-    k = len(cands)
-    basis = gf2.Basis()
-    reduce = basis.reduce
+def _exists_rank_at_most(known, r: int, row0: list[int]) -> bool:
+    # whether some fitting matrix with row 0 in row0 has rank <= r
+    k = len(known)
+    # reduced echelon basis of the rows so far: pivot bit -> row, each row 0
+    # at every other pivot, so reducing is linear and canonical per coset
+    rows: dict[int, int] = {}
+    # bases below rank r from which no completion reaches rank <= r. A basis
+    # reached after row i holds an option of every row before i, so the
+    # answer is the same at every depth that reaches it: the key is the basis.
+    dead = set()
+
+    def residues(i: int) -> tuple[int, list[int]]:
+        # row i's options e_i + subset(known[i]) reduce to off + span(gens);
+        # red(e_t) is e_t plus row t if t is a pivot; off == 0 iff 0 is among them
+        span = gf2.Basis(rows.get(t, 0) ^ 1 << t for t in known[i])
+        return span.reduce(rows.get(i, 0) ^ 1 << i), list(span.pivots.values())
 
     def go(i: int, rank: int) -> bool:
         if i == k:
             return True
         if rank == r:
             # at full rank only zero residues extend the prefix, and the basis stays fixed
-            return all(any(reduce(o) == 0 for o in cands[j]) for j in range(i, k))
-        options = first if (i == 0 and first is not None) else cands[i]
-        # distinct residues in first-seen order, the zero residue first
-        for red in sorted(dict.fromkeys(map(reduce, options)), key=bool):
+            return all(residues(j)[0] == 0 for j in range(i, k))
+        key = 0  # the rows by pivot, k bits each
+        for row in sorted(rows.values()):
+            key = key << k | row
+        if key in dead:
+            return False
+        if i == 0:
+            options = row0  # the basis is empty, so each option is its own residue
+        else:
+            off, gens = residues(i)
+            options = [off]  # every distinct residue once, the zero residue first
+            for g in gens:
+                options += [v ^ g for v in options]
+        for red in options:
             if red == 0:
-                if go(i + 1, rank):
-                    return True
-            elif rank < r:
-                basis.insert(red)
-                if go(i + 1, rank + 1):
-                    return True
-                basis.remove(red)
+                found = go(i + 1, rank)
+            else:
+                p = red.bit_length() - 1
+                touched = [q for q, row in rows.items() if row >> p & 1]
+                for q in touched:
+                    rows[q] ^= red
+                rows[p] = red
+                found = go(i + 1, rank + 1)
+                del rows[p]
+                for q in touched:
+                    rows[q] ^= red
+            if found:
+                return True
+        dead.add(key)
         return False
 
     return go(0, 0)
 
 
 def _minrank_worker(args) -> bool:
-    cands, r, chunk = args
-    return _exists_rank_at_most(cands, r, first=chunk)
+    return _exists_rank_at_most(*args)
 
 
 def brute_minrank2(
@@ -142,28 +160,31 @@ def brute_minrank2(
 
     A fitting matrix has 1s on the diagonal and support inside the side
     information otherwise. The search deepens a target rank r upward and
-    backtracks over per-row choices, pruning any prefix whose rank
-    already exceeds r; the first r admitting a complete assignment is the
-    minimum. Passing early_stop starts at that target, which is exact
-    whenever early_stop is a valid lower bound.
+    picks rows in order, each only by its residue modulo the span of the
+    rows before it, since options in one coset lead to the same subtree.
+    The span is a reduced echelon basis, so residues are canonical and
+    each coset is searched once; row i's residues form an affine space
+    built from |known[i]| + 1 unit-vector reductions. A prefix of rank
+    above r is pruned, at rank r each remaining row needs a zero residue,
+    and every basis below rank r that the search fails from is recorded
+    and not searched again for that r. The first r admitting a complete
+    assignment is the minimum. Passing early_stop starts at that target,
+    which is exact whenever early_stop is a valid lower bound.
     """
     free_bits = sum(len(a) for a in graph.known)
     if free_bits > cap:
         raise TooLargeError(
             f"{free_bits} free positions exceed the 2^bits cap of {cap}"
         )
-    cands = _row_candidates(graph)
+    row0 = _row0_options(graph.known)
     start = max(1, early_stop) if early_stop is not None else 1
     jobs = min(jobs, os.cpu_count() or 1)
-    chunks = [cands[0][i::jobs] for i in range(jobs) if cands[0][i::jobs]]
+    chunks = [row0[i::jobs] for i in range(jobs) if row0[i::jobs]]
     # one pool serves every target rank
     with ProcessPoolExecutor(len(chunks)) if len(chunks) > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
         for r in range(start, graph.k + 1):
-            if pool is None:
-                found = _exists_rank_at_most(cands, r)
-            else:
-                found = any(pool.map(_minrank_worker, [(cands, r, ch) for ch in chunks]))
-            if found:
+            if any(run(_minrank_worker, [(graph.known, r, ch) for ch in chunks])):
                 return r
     raise AssertionError("identity always fits, so rank K must succeed")
 

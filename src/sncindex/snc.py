@@ -58,11 +58,11 @@ class SideInfoGraph:
 def build_graph(inst: SncInstance) -> SideInfoGraph:
     """Circulant adjacency: backward indices ascending, then forward ascending."""
     k, d, u = inst.k, inst.d, inst.u
-    known = tuple(
-        tuple((v + j) % k for j in range(-u, 0)) + tuple((v + j) % k for j in range(1, d + 1))
-        for v in range(k)
-    )
-    return SideInfoGraph(k, known, tuple(frozenset(row) for row in known))
+    ring = [x % k for x in range(-k, 2 * k)]  # ring[k + x] == x % k for -k <= x < 2k
+    known = tuple([
+        tuple(ring[k + v - u:k + v] + ring[k + v + 1:k + v + d + 1]) for v in range(k)
+    ])
+    return SideInfoGraph(k, known, tuple(map(frozenset, known)))
 
 
 def induced_acyclic(graph: SideInfoGraph, vertices) -> bool:

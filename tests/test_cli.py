@@ -143,6 +143,14 @@ def test_verify_passes(capsys):
     assert "decodable\tPASS" in out
 
 
+def test_verify_trial_count(capsys):
+    code, out, err = run(capsys, "verify", "--k", "5", "--d", "2", "--u", "1", "--trials", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: --trials must be non-negative (got -1)\n"
+    code, out, err = run(capsys, "verify", "--k", "5", "--d", "2", "--u", "1", "--trials", "0")
+    assert (code, out, err) == (0, "roundtrip\tPASS\ttrials=0\tseed=0\ndecodable\tPASS\n", "")
+
+
 def test_verify_with_oracles(capsys):
     code, out, _ = run(
         capsys, "verify", "--k", "12", "--d", "4", "--u", "1", "--trials", "10", "--with-oracles"

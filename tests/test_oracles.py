@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import random
@@ -162,14 +161,12 @@ def test_brute_mais_table_out_of_memory(monkeypatch, capsys):
     assert err == "error: K=40: the 2^K subset table does not fit in memory\n"
 
 
-def fitting_minrank_by_enumeration(graph):
-    # literal definition: scan all assignments of the free positions
+def fitting_matrices(graph):
+    # literal definition: every assignment of the free positions, as row ints
     k = graph.k
     adj = graph.known
-    best = k
     counts = [len(a) for a in adj]
-    total = sum(counts)
-    for pick in range(1 << total):
+    for pick in range(1 << sum(counts)):
         rows = []
         off = 0
         for v in range(k):
@@ -179,10 +176,27 @@ def fitting_minrank_by_enumeration(graph):
                     row |= 1 << j
             rows.append(row)
             off += counts[v]
-        best = min(best, len(gf2.Basis(rows)))
-        if best == 1:
-            break
-    return best
+        yield rows
+
+
+def fitting_minrank_by_enumeration(graph):
+    return min(len(gf2.Basis(rows)) for rows in fitting_matrices(graph))
+
+
+def random_graph(rng, k, free):
+    # a side-information digraph on k vertices with `free` random edges, each
+    # row's known set in random order: no rotation symmetry to lean on
+    edges = rng.sample([(v, w) for v in range(k) for w in range(k) if v != w], free)
+    known = tuple(tuple(w for v2, w in edges if v2 == v) for v in range(k))
+    return snc.SideInfoGraph(k, known, tuple(frozenset(row) for row in known))
+
+
+def random_graphs(seed, count=6):
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(3, 7)
+        most = min(14, k * (k - 1))
+        yield random_graph(rng, k, rng.randint(most // 2, most))
 
 
 @pytest.mark.parametrize("k,d,u", [(4, 2, 0), (4, 1, 1), (5, 2, 1), (5, 1, 1)])
@@ -259,21 +273,32 @@ def test_brute_minrank_opens_one_pool(monkeypatch):
     assert built == [2]
 
 
-@pytest.mark.parametrize("k,d,u", [(4, 2, 0), (4, 1, 1), (5, 1, 1), (6, 1, 1), (5, 2, 1)])
-def test_rank_search_matches_enumeration_per_partition(k, d, u):
+def assert_rank_search_matches_enumeration(graph):
     # every target rank and every --jobs slice of row 0's options, against
     # the ranks of all fitting matrices whose row 0 lies in the slice
-    graph = snc.build_graph(snc.SncInstance(k, d, u))
-    cands = oracles._row_candidates(graph)
+    k = graph.k
     ranks = {}
-    for rows in itertools.product(*cands):
-        rank = len(gf2.Basis(rows))
-        ranks[rows[0]] = min(ranks.get(rows[0], k), rank)
+    for rows in fitting_matrices(graph):
+        ranks[rows[0]] = min(ranks.get(rows[0], k), len(gf2.Basis(rows)))
+    row0 = oracles._row0_options(graph.known)
+    assert sorted(row0) == sorted(ranks)
     for jobs in [1, 2, 3]:
-        for chunk in (cands[0][i::jobs] for i in range(jobs)):
+        for chunk in (row0[i::jobs] for i in range(jobs) if row0[i::jobs]):
             for r in range(1, k + 1):
                 want = min(ranks[row] for row in chunk) <= r
-                assert oracles._exists_rank_at_most(cands, r, first=chunk) == want
+                assert oracles._exists_rank_at_most(graph.known, r, chunk) == want
+
+
+@pytest.mark.parametrize("k,d,u", [(4, 2, 0), (4, 1, 1), (5, 1, 1), (6, 1, 1), (5, 2, 1)])
+def test_rank_search_matches_enumeration_per_partition(k, d, u):
+    assert_rank_search_matches_enumeration(snc.build_graph(snc.SncInstance(k, d, u)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_brute_minrank_matches_enumeration_on_random_graphs(seed):
+    for graph in random_graphs(seed):
+        assert oracles.brute_minrank2(graph, jobs=1) == fitting_minrank_by_enumeration(graph)
+        assert_rank_search_matches_enumeration(graph)
 
 
 def test_brute_minrank_cap():

@@ -158,6 +158,21 @@ def test_build_graph_examples():
     assert snc.build_graph(snc.SncInstance(4, 3, 0)).known[0] == (1, 2, 3)
 
 
+def test_build_graph_matches_definition():
+    # receiver v knows the U messages before it, then the D after it, each
+    # run in ascending cyclic order
+    for inst in all_instances(40):
+        k, d, u = inst.k, inst.d, inst.u
+        g = snc.build_graph(inst)
+        want = tuple(
+            tuple((v - u + j) % k for j in range(u)) + tuple((v + 1 + j) % k for j in range(d))
+            for v in range(k)
+        )
+        assert g.k == k
+        assert g.known == want
+        assert g.known_sets == tuple(frozenset(row) for row in want)
+
+
 def test_graph_regular_out_degree():
     for inst in all_instances(15):
         g = snc.build_graph(inst)
