@@ -17,7 +17,7 @@ for k, d, u in [(17, 6, 2), (16, 3, 2), (20, 9, 2), (5, 3, 1)]:
     print(f"  mais = {r.mais}   witness = {snc.mais_witness(inst)}")
     print(f"  gamma = {r.gamma}   minrank = {r.minrank}   provably optimal: {r.optimality}")
     print(f"  partial clique kappa = {r.kappa}   mds length = {r.mds_length}"
-          f"   conjectured minrank = {r.conjecture_value}")
+          f"   shorter length = {r.conjecture_value} (minrank upper bound)")
     print()
 
 # the scalar code is never more than two symbols per message above beta

@@ -3,7 +3,8 @@
 The side-information graph is a (K-D-U-1)-partial clique, so a length-K
 code of dimension K-D-U over a prime field with p >= K also works as an
 index code. The main construction usually needs fewer symbols; the
-conjectured minrank is the minimum of the two lengths.
+shorter of the two lengths is an upper bound on the minrank, and not
+always equal to it.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ ok = all(
 print("all receivers decoded correctly:", ok)
 
 print("\nlength comparison (symbols per message):")
-print("K\tD\tU\tgamma\tmds\twinner\tconjecture")
+print("K\tD\tU\tgamma\tmds\twinner\tshorter")
 for k, d, u in [(20, 9, 2), (10, 2, 1), (6, 2, 2), (10, 4, 2), (30, 4, 1)]:
     cmp = mds.compare_lengths(snc.SncInstance(k, d, u))
     print(f"{k}\t{d}\t{u}\t{cmp.gamma}\t{cmp.mds_length}\t{cmp.winner}\t{cmp.conjecture_value}")

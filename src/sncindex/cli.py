@@ -1,7 +1,7 @@
 """Command-line front end: construction, analysis, codec, oracles, sweeps.
 
 Exit codes: 0 success, 1 usage or validation error, 2 verification
-mismatch or a construction fault (a singular decoding window, no plan).
+mismatch or a construction fault (a singular decoding window).
 All tables are TSV with a single header line; --json mirrors the same
 fields.
 """
@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (codec.SystemSingularError, codec.PlanNotFoundError) as exc:
+    except codec.SystemSingularError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

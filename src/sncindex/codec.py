@@ -34,10 +34,6 @@ class SystemSingularError(RuntimeError):
     """The decoding window was singular; indicates a construction bug."""
 
 
-class PlanNotFoundError(RuntimeError):
-    """No code-symbol combination isolates the wanted group; must not happen."""
-
-
 @dataclass(frozen=True, eq=False)
 class CodeSpec:
     """Everything a transmitter and its receivers need for one instance.
@@ -124,14 +120,22 @@ def encode(spec: CodeSpec, x) -> np.ndarray:
     return gf2.vec_mat(extend(spec, x), spec.air.matrix)
 
 
-def _solver_vector(spec: CodeSpec, j: int) -> np.ndarray:
-    # column of the inverted window that recovers group j's parity
-    order = [(j + spec.d1 + i) % spec.k1 for i in range(1, spec.n + 1)]
+def _window(spec: CodeSpec, j: int) -> list[int]:
+    # the n groups whose encoder rows group j's receivers solve for, j last:
+    # all but the d1 groups right after j, which they cancel
+    return [(j + spec.d1 + i) % spec.k1 for i in range(1, spec.n + 1)]
+
+
+def _window_inverse(spec: CodeSpec, j: int) -> np.ndarray:
     try:
-        inv = gf2.invert(spec.air.matrix[order])
+        return gf2.invert(spec.air.matrix[_window(spec, j)])
     except gf2.NotUniqueError as exc:
         raise SystemSingularError(f"window starting after group {j} is singular") from exc
-    return inv[:, spec.n - 1]
+
+
+def _solver_vector(spec: CodeSpec, j: int) -> np.ndarray:
+    # column of the inverted window that recovers group j's parity
+    return _window_inverse(spec, j)[:, spec.n - 1]
 
 
 def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
@@ -210,49 +214,38 @@ class DecodePlan:
 def extract_plan(spec: CodeSpec) -> DecodePlan:
     """Minimal add-only decoding schedules, one per message group.
 
-    For each group j, the usable cancellations are the groups fully known
-    to every receiver of group j. The smallest set of code symbols whose
-    column sum hits group j plus only such groups is found by exhaustive
-    search over subsets, ordered by size and then lexicographically, so
-    all receivers of a group share one schedule.
+    For each group j, the usable cancellations are the other groups fully
+    known to every receiver of group j; they include the d1 groups right
+    after j. Every other encoder row lies in j's decoding window, so the
+    code-symbol sets whose sum is group j plus usable groups only are
+    w + span{inv[:, p]}: w is the solver column of j's decoder row, inv
+    the window inverse and p the window positions of usable groups. The
+    plan is the smallest set of that coset, ordered by size and then
+    lexicographically, so all receivers of a group share one schedule,
+    and it cancels the groups whose encoder row meets it an odd number of
+    times. The inverse is only needed when some p exists.
     """
-    k1, n = spec.k1, spec.n
+    k1, known_sets = spec.k1, spec.graph.known_sets
     cols = gf2.pack_rows(spec.air.matrix.T)
-    group_sets = [frozenset(g) for g in spec.groups]
-
-    fully_known: list[set[int]] = []
-    for j in range(k1):
-        shared = None
-        for k in spec.groups[j]:
-            known = spec.graph.known_sets[k]
-            mine = {i for i in range(k1) if i != j and group_sets[i] <= known}
-            shared = mine if shared is None else shared & mine
-        fully_known.append(shared or set())
-
     group_plans: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for j in range(k1):
-        target = 1 << (k1 - 1 - j)
-        allowed = 0
-        for i in fully_known[j]:
-            allowed |= 1 << (k1 - 1 - i)
-        found = None
-        for size in range(1, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                t = 0
-                for idx in combo:
-                    t ^= cols[idx]
-                if t & target and (t ^ target) & ~allowed == 0:
-                    rest = t ^ target
-                    cancelled = tuple(
-                        i for i in range(k1) if rest >> (k1 - 1 - i) & 1
-                    )
-                    found = (combo, cancelled)
-                    break
-            if found:
-                break
-        if found is None:
-            raise PlanNotFoundError(f"no combination isolates group {j}")
-        group_plans.append(found)
+    for j, members in enumerate(spec.groups):
+        common = frozenset.intersection(*(known_sets[k] for k in members))
+        usable = {g for g in {spec.group_of[m] for m in common}
+                  if common.issuperset(spec.groups[g])}
+        symbols = decoder_row(spec, members[0]).symbols
+        free = [p for p, g in enumerate(_window(spec, j)) if g in usable]
+        if free:
+            inv = _window_inverse(spec, j)
+            coset = [frozenset(symbols)]
+            for p in free:
+                col = frozenset(np.flatnonzero(inv[:, p]).tolist())
+                coset += [s ^ col for s in coset]
+            symbols = min((tuple(sorted(s)) for s in coset), key=lambda s: (len(s), s))
+        hits = 0
+        for t in symbols:
+            hits ^= cols[t]
+        cancelled = tuple(g for g in range(k1) if g != j and hits >> (k1 - 1 - g) & 1)
+        group_plans.append((symbols, cancelled))
 
     entries = tuple(
         ReceiverPlan(k, *group_plans[spec.group_of[k]]) for k in range(spec.inst.k)

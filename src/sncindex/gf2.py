@@ -116,25 +116,6 @@ def invert(a) -> np.ndarray:
     return unpack_rows([basis.reduce(1 << (2 * n - 1 - p)) for p in range(n)], n)
 
 
-def span_coefficients(v, basis) -> np.ndarray | None:
-    """Coefficients expressing v over the basis list, or None if outside the span."""
-    vv = as_bits(v, ndim=1)
-    vecs = [as_bits(b, ndim=1) for b in basis]
-    if any(b.shape != vv.shape for b in vecs):
-        raise ValueError("all vectors must have the same length")
-    k = len(vecs)
-    *packed, target = pack_rows(np.array([*vecs, vv], dtype=np.uint8))
-    # the low k bits of each row record which basis vectors it combines
-    span = Basis((r << k) | (1 << (k - 1 - i)) for i, r in enumerate(packed))
-    t = span.reduce(target << k)
-    return None if t >> k else unpack_rows([t], k)[0]
-
-
-def in_span(v, basis) -> bool:
-    """True iff v is a GF(2) combination of the basis vectors."""
-    return span_coefficients(v, basis) is not None
-
-
 def vec_mat(x, m) -> np.ndarray:
     """Row vector times matrix over GF(2): xor of the rows selected by x."""
     xx = as_bits(x, ndim=1)

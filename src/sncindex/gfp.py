@@ -76,24 +76,6 @@ class PrimeField:
             aug -= np.outer(factors, aug[col])
             aug %= p
 
-    def rank(self, a) -> int:
-        aa = self._as_elems(a, 2).copy()
-        rows, cols = aa.shape
-        r = 0
-        for col in range(cols):
-            piv = next((i for i in range(r, rows) if aa[i, col] % self.p), None)
-            if piv is None:
-                continue
-            if piv != r:
-                aa[[r, piv]] = aa[[piv, r]]
-            aa[r] = (aa[r] * self.inv(int(aa[r, col]))) % self.p
-            factors = aa[:, col].copy()
-            factors[r] = 0
-            aa -= np.outer(factors, aa[r])
-            aa %= self.p
-            r += 1
-        return r
-
 
 def smallest_prime_field(k: int) -> PrimeField:
     """The prime field with the smallest p >= k (k >= 2)."""

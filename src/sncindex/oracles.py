@@ -171,6 +171,8 @@ def brute_minrank2(
     assignment is the minimum. Passing early_stop starts at that target,
     which is exact whenever early_stop is a valid lower bound.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1 (got {jobs})")
     free_bits = sum(len(a) for a in graph.known)
     if free_bits > cap:
         raise TooLargeError(

@@ -185,7 +185,9 @@ def mds_code_length(inst: SncInstance) -> int:
 
 
 def conjecture_value(inst: SncInstance) -> int:
-    """min(constructed length, MDS length), the conjectured minrank."""
+    """min(constructed length, MDS length): the shorter of the two
+    constructed codes. An upper bound on the minrank, not always equal to
+    it: at (10, 4, 2) it is 4, and a fitting matrix of rank 3 exists."""
     gamma = 1 if inst.full_side_info else code_length(inst)
     return min(gamma, mds_code_length(inst))
 

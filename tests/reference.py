@@ -1,0 +1,110 @@
+"""Plain reference implementations that only the tests use.
+
+Each one follows its definition directly and shares no code path with
+the package function it checks.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from sncindex import codec, gf2, gfp
+
+
+def subset_search_plan(spec: codec.CodeSpec) -> codec.DecodePlan:
+    """Minimal add-only decoding schedules by exhaustive search.
+
+    For each group j, the usable cancellations are the groups fully known
+    to every receiver of group j. The smallest set of code symbols whose
+    column sum hits group j plus only such groups is found by trying
+    subsets, ordered by size and then lexicographically. Exponential in N.
+    """
+    k1, n = spec.k1, spec.n
+    cols = gf2.pack_rows(spec.air.matrix.T)
+    group_sets = [frozenset(g) for g in spec.groups]
+
+    fully_known: list[set[int]] = []
+    for j in range(k1):
+        shared = None
+        for k in spec.groups[j]:
+            known = spec.graph.known_sets[k]
+            mine = {i for i in range(k1) if i != j and group_sets[i] <= known}
+            shared = mine if shared is None else shared & mine
+        fully_known.append(shared or set())
+
+    group_plans: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for j in range(k1):
+        target = 1 << (k1 - 1 - j)
+        allowed = 0
+        for i in fully_known[j]:
+            allowed |= 1 << (k1 - 1 - i)
+        found = None
+        for size in range(1, n + 1):
+            for combo in itertools.combinations(range(n), size):
+                t = 0
+                for idx in combo:
+                    t ^= cols[idx]
+                if t & target and (t ^ target) & ~allowed == 0:
+                    rest = t ^ target
+                    cancelled = tuple(
+                        i for i in range(k1) if rest >> (k1 - 1 - i) & 1
+                    )
+                    found = (combo, cancelled)
+                    break
+            if found:
+                break
+        assert found is not None, f"no combination isolates group {j}"
+        group_plans.append(found)
+
+    entries = tuple(
+        codec.ReceiverPlan(k, *group_plans[spec.group_of[k]]) for k in range(spec.inst.k)
+    )
+    return codec.DecodePlan(entries)
+
+
+def subset_search_bounded(k: int, d: int, u: int) -> bool:
+    """Whether subset_search_plan finishes quickly: with U = 0, D >= 1 and
+    N >= 15 it can try most subsets of the N symbols."""
+    return not (u == 0 and d >= 1 and k - d >= 15)
+
+
+def span_coefficients(v, basis) -> np.ndarray | None:
+    """Coefficients expressing v over the basis list, or None if outside the span."""
+    vv = gf2.as_bits(v, ndim=1)
+    vecs = [gf2.as_bits(b, ndim=1) for b in basis]
+    if any(b.shape != vv.shape for b in vecs):
+        raise ValueError("all vectors must have the same length")
+    k = len(vecs)
+    *packed, target = gf2.pack_rows(np.array([*vecs, vv], dtype=np.uint8))
+    # the low k bits of each row record which basis vectors it combines
+    span = gf2.Basis((r << k) | (1 << (k - 1 - i)) for i, r in enumerate(packed))
+    t = span.reduce(target << k)
+    return None if t >> k else gf2.unpack_rows([t], k)[0]
+
+
+def in_span(v, basis) -> bool:
+    """True iff v is a GF(2) combination of the basis vectors."""
+    return span_coefficients(v, basis) is not None
+
+
+def prime_rank(field: gfp.PrimeField, a) -> int:
+    """Row rank over GF(p) by Gauss-Jordan elimination."""
+    aa = field._as_elems(a, 2).copy()
+    p = field.p
+    rows, cols = aa.shape
+    r = 0
+    for col in range(cols):
+        piv = next((i for i in range(r, rows) if aa[i, col] % p), None)
+        if piv is None:
+            continue
+        if piv != r:
+            aa[[r, piv]] = aa[[piv, r]]
+        aa[r] = (aa[r] * field.inv(int(aa[r, col]))) % p
+        factors = aa[:, col].copy()
+        factors[r] = 0
+        aa -= np.outer(factors, aa[r])
+        aa %= p
+        r += 1
+    return r

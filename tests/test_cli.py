@@ -136,6 +136,20 @@ def test_plan_table(capsys):
     )
 
 
+def test_plan_paper_size(capsys):
+    code, out, err = run(capsys, "plan", "--k", "827", "--d", "23", "--u", "1")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "receivers\tsymbols"
+    covered = []
+    for line in lines[1:]:
+        rng, symbols = line.split("\t")
+        start, _, end = rng.partition("-")
+        covered += range(int(start), int(end or start) + 1)
+        assert symbols
+    assert covered == list(range(827))
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--k", "20", "--d", "9", "--u", "2", "--trials", "20")
     assert code == 0
@@ -179,6 +193,13 @@ def test_oracle_minrank(capsys):
     assert "brute=3" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_oracle_minrank_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "oracle", "minrank", "--k", "6", "--d", "2", "--u", "1",
+                         "--jobs", jobs)
+    assert (code, out, err) == (1, "", f"error: jobs must be at least 1 (got {jobs})\n")
+
+
 def test_oracle_cap_errors(capsys):
     code, _, err = run(capsys, "oracle", "mais", "--k", "22", "--d", "2", "--u", "1")
     assert code == 1
@@ -217,9 +238,8 @@ def test_commands_are_deterministic(capsys):
 @pytest.mark.parametrize("argv,target,exc", [
     (("decode", "--k", "20", "--d", "9", "--u", "2", "--receiver", "4", "--code", "10000",
       "--sideinfo", "??11?100101101??????"), "decode", codec.SystemSingularError),
-    (("plan", "--k", "20", "--d", "9", "--u", "2"), "extract_plan", codec.PlanNotFoundError),
+    (("plan", "--k", "20", "--d", "9", "--u", "2"), "_window_inverse", codec.SystemSingularError),
     (("verify", "--k", "20", "--d", "9", "--u", "2"), "code_for", codec.SystemSingularError),
-    (("verify", "--k", "20", "--d", "9", "--u", "2"), "code_for", codec.PlanNotFoundError),
 ])
 def test_construction_faults_exit_2(capsys, monkeypatch, argv, target, exc):
     def fault(*args, **kwargs):

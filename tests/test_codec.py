@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sncindex import codec, gf2, snc
+
+from reference import subset_search_bounded, subset_search_plan
 
 K20 = snc.SncInstance(20, 9, 2)
 
@@ -210,7 +212,8 @@ def test_plan_soundness(spec20):
 
 def test_plan_soundness_assorted():
     rng = np.random.default_rng(53)
-    for k, d, u in [(9, 5, 2), (8, 3, 0), (14, 6, 3), (5, 3, 1)]:
+    # (40,5,0) and (60,3,0) are beyond any subset search: N = 35 and 57
+    for k, d, u in [(9, 5, 2), (8, 3, 0), (14, 6, 3), (5, 3, 1), (40, 5, 0), (60, 3, 0)]:
         spec = codec.code_for(snc.SncInstance(k, d, u))
         plan = codec.extract_plan(spec)
         for _ in range(10):
@@ -233,6 +236,51 @@ def valid_instances(k_max):
                 yield snc.SncInstance(k, d, u)
 
 
+@pytest.fixture(scope="module")
+def specs_k40():
+    # shared, so that decoder rows built by one test serve the next
+    return [codec.code_for(inst) for inst in valid_instances(40)]
+
+
+def assert_plan_certificate(spec, plan):
+    # each receiver's symbols sum to its own group plus the cancelled groups,
+    # and it knows every message of those
+    for e in plan.entries:
+        odd = spec.air.matrix[:, list(e.symbols)].sum(axis=1) & 1
+        assert set(np.flatnonzero(odd)) == {spec.group_of[e.receiver], *e.cancelled}
+        for g in e.cancelled:
+            assert set(spec.groups[g]) <= spec.graph.known_sets[e.receiver]
+
+
+def test_plan_matches_subset_search_up_to_k40(specs_k40):
+    for spec in specs_k40:
+        k, d, u = spec.inst.k, spec.inst.d, spec.inst.u
+        plan = codec.extract_plan(spec)
+        if subset_search_bounded(k, d, u):
+            assert plan == subset_search_plan(spec), spec.inst
+        else:  # too slow for the reference: check soundness instead
+            assert_plan_certificate(spec, plan)
+
+
+@st.composite
+def short_code_instances(draw, k_max, n_max):
+    # K beyond 40 and D close to K - 1 - U, so that N <= n_max
+    k = draw(st.integers(41, k_max))
+    u = draw(st.integers(0, 10))
+    k1 = -(-k // (u + 1))
+    d_min = max(u, u + (u + 1) * (k1 - n_max))
+    assume(d_min <= k - 1 - u)
+    return snc.SncInstance(k, draw(st.integers(d_min, k - 1 - u)), u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=short_code_instances(200, 12))
+def test_plan_matches_subset_search_property(inst):
+    spec = codec.code_for(inst)
+    assert spec.n <= 12
+    assert codec.extract_plan(spec) == subset_search_plan(spec)
+
+
 def assert_decoder_certificate(spec):
     # decoding is linear, so x_k = (code symbols + side messages of the row)
     # for every one of the 2^K messages iff their coefficients sum to e_k
@@ -249,9 +297,9 @@ def assert_decoder_certificate(spec):
         assert acc == 1 << (k - 1 - rec), (spec.inst, rec)
 
 
-def test_decoder_rows_certified_up_to_k40():
-    for inst in valid_instances(40):
-        assert_decoder_certificate(codec.code_for(inst))
+def test_decoder_rows_certified_up_to_k40(specs_k40):
+    for spec in specs_k40:
+        assert_decoder_certificate(spec)
 
 
 @pytest.mark.parametrize("u", range(1, 11))

@@ -8,6 +8,8 @@ import pytest
 
 from sncindex import codec, gf2, oracles, snc
 
+from reference import in_span
+
 
 def all_instances(k_max, skip_full=False):
     for k in range(2, k_max + 1):
@@ -301,6 +303,12 @@ def test_brute_minrank_matches_enumeration_on_random_graphs(seed):
         assert_rank_search_matches_enumeration(graph)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_brute_minrank_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        oracles.brute_minrank2(snc.build_graph(snc.SncInstance(6, 2, 1)), jobs=jobs)
+
+
 def test_brute_minrank_cap():
     with pytest.raises(oracles.TooLargeError):
         oracles.brute_minrank2(snc.build_graph(snc.SncInstance(7, 3, 1)))
@@ -362,7 +370,7 @@ def test_check_decodable_against_span_membership():
         for k in range(8):
             basis = [a[:, t] for t in range(3)]
             basis += [np.eye(8, dtype=np.uint8)[j] for j in graph.known[k]]
-            assert got[k] == gf2.in_span(np.eye(8, dtype=np.uint8)[k], basis)
+            assert got[k] == in_span(np.eye(8, dtype=np.uint8)[k], basis)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9, 40, 827])
