@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 usage or validation error, 2 verification
 mismatch or a construction fault (a singular decoding window).
-All tables are TSV with a single header line; --json mirrors the same
-fields.
+All tables are TSV with a single header line; analyze --json mirrors
+the same fields (no other command has --json).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -153,11 +154,10 @@ def _corrupted(spec: codec.CodeSpec) -> codec.CodeSpec:
     # test hook: zero the first encoder row so group 0 becomes undecodable
     broken = spec.air.matrix.copy()
     broken[0] = 0
-    bad_air = air.AirMatrix(spec.air.m, spec.air.n, broken, spec.air.chain)
-    expanded = broken[np.array(spec.group_of)]
-    return codec.CodeSpec(
-        spec.inst, spec.k1, spec.d1, spec.n, spec.groups, spec.group_of,
-        bad_air, expanded, spec.graph,
+    bad_air = dataclasses.replace(spec.air, matrix=broken)
+    # a fresh row cache: the healthy spec's rows must not leak into this one
+    return dataclasses.replace(
+        spec, air=bad_air, expanded=broken[np.array(spec.group_of)], _rows={}
     )
 
 

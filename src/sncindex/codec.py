@@ -3,15 +3,15 @@
 Messages are grouped into consecutive runs of U+1 (the last group may be
 shorter); each group's parity is an extended symbol, and the extended
 vector is multiplied by a K1 x N matrix whose cyclic windows are all
-invertible. Every receiver recovers its message by cancelling the
-extended symbols it can compute from side information and solving the
-remaining window; that whole procedure is one fixed GF(2) row per
-receiver, built once per spec and evaluated on every codeword.
+invertible. Every receiver recovers its message by adding a minimal set
+of code symbols and cancelling the group parities it knows from side
+information. That add-only schedule is one fixed GF(2) row per receiver,
+built once per spec: decode and the round-trip simulator evaluate it on
+every codeword, and the decoding plan prints it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -57,10 +57,15 @@ class CodeSpec:
 
 @dataclass(frozen=True, slots=True)
 class DecoderRow:
-    """Receiver k's message as the parity of these code symbols and side-info messages."""
+    """Receiver k's message as the parity of these code symbols and side-info messages.
+
+    cancelled lists the groups whose parities the symbols carry besides
+    k's own; side holds their members and the rest of k's group.
+    """
 
     symbols: tuple[int, ...]
     side: tuple[int, ...]
+    cancelled: tuple[int, ...]
 
 
 def build_code(inst: SncInstance) -> CodeSpec:
@@ -133,32 +138,41 @@ def _window_inverse(spec: CodeSpec, j: int) -> np.ndarray:
         raise SystemSingularError(f"window starting after group {j} is singular") from exc
 
 
-def _solver_vector(spec: CodeSpec, j: int) -> np.ndarray:
-    # column of the inverted window that recovers group j's parity
-    return _window_inverse(spec, j)[:, spec.n - 1]
-
-
 def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
-    """The fixed combination that recovers message k, built once per spec.
+    """Receiver k's minimal add-only schedule as one fixed GF(2) row.
 
-    The solver column w of k's window reads its group parity off the
-    codeword once the d1 fully known groups after it are cancelled; a
-    cancelled group g enters through its members exactly when row g of
-    the encoder meets w an odd number of times. The other members of k's
-    own group are stripped last. A group's rows are built together, from
-    one window inverse, and share their symbols.
+    The usable cancellations of k's group j are the other groups fully
+    known to every receiver of j; they include the d1 groups right after
+    j, and every other encoder row lies in j's window. So the code-symbol
+    sets whose sum is group j plus usable groups only are
+    w + span{inv[:, p]}: inv is the window inverse, w its last column and
+    p the window positions of usable groups. The row adds the smallest set
+    of that coset, ordered by size and then lexicographically, and cancels
+    the usable groups whose encoder row meets it an odd number of times;
+    the other members of j are stripped last. A group's rows are built
+    together, from one window inverse, and are cached per spec. decode,
+    roundtrip_sim and extract_plan all read these rows.
     """
     row = spec._rows.get(k)
     if row is None:
         j = spec.group_of[k]
-        w = _solver_vector(spec, j)
-        symbols = tuple(np.flatnonzero(w).tolist())
-        cancelled = [(j + i) % spec.k1 for i in range(1, spec.d1 + 1)]
-        odd = (spec.air.matrix[cancelled] & w).sum(axis=1) & 1
-        known = [msg for g in itertools.compress(cancelled, odd) for msg in spec.groups[g]]
-        for rec in spec.groups[j]:
-            own = [msg for msg in spec.groups[j] if msg != rec]
-            spec._rows[rec] = DecoderRow(symbols, tuple(sorted(own + known)))
+        members = spec.groups[j]
+        common = frozenset.intersection(*(spec.graph.known_sets[m] for m in members))
+        usable = {g for g in {spec.group_of[m] for m in common}
+                  if common.issuperset(spec.groups[g])}
+        inv = _window_inverse(spec, j)
+        coset = [frozenset(np.flatnonzero(inv[:, -1]).tolist())]
+        for p, g in enumerate(_window(spec, j)):
+            if g in usable:
+                col = frozenset(np.flatnonzero(inv[:, p]).tolist())
+                coset += [s ^ col for s in coset]
+        symbols = min((tuple(sorted(s)) for s in coset), key=lambda s: (len(s), s))
+        odd = spec.air.matrix[:, symbols].sum(axis=1) & 1
+        cancelled = tuple(g for g in sorted(usable) if odd[g])
+        known = [msg for g in cancelled for msg in spec.groups[g]]
+        for rec in members:
+            own = [msg for msg in members if msg != rec]
+            spec._rows[rec] = DecoderRow(symbols, tuple(sorted(own + known)), cancelled)
         row = spec._rows[k]
     return row
 
@@ -212,42 +226,6 @@ class DecodePlan:
 
 
 def extract_plan(spec: CodeSpec) -> DecodePlan:
-    """Minimal add-only decoding schedules, one per message group.
-
-    For each group j, the usable cancellations are the other groups fully
-    known to every receiver of group j; they include the d1 groups right
-    after j. Every other encoder row lies in j's decoding window, so the
-    code-symbol sets whose sum is group j plus usable groups only are
-    w + span{inv[:, p]}: w is the solver column of j's decoder row, inv
-    the window inverse and p the window positions of usable groups. The
-    plan is the smallest set of that coset, ordered by size and then
-    lexicographically, so all receivers of a group share one schedule,
-    and it cancels the groups whose encoder row meets it an odd number of
-    times. The inverse is only needed when some p exists.
-    """
-    k1, known_sets = spec.k1, spec.graph.known_sets
-    cols = gf2.pack_rows(spec.air.matrix.T)
-    group_plans: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for j, members in enumerate(spec.groups):
-        common = frozenset.intersection(*(known_sets[k] for k in members))
-        usable = {g for g in {spec.group_of[m] for m in common}
-                  if common.issuperset(spec.groups[g])}
-        symbols = decoder_row(spec, members[0]).symbols
-        free = [p for p, g in enumerate(_window(spec, j)) if g in usable]
-        if free:
-            inv = _window_inverse(spec, j)
-            coset = [frozenset(symbols)]
-            for p in free:
-                col = frozenset(np.flatnonzero(inv[:, p]).tolist())
-                coset += [s ^ col for s in coset]
-            symbols = min((tuple(sorted(s)) for s in coset), key=lambda s: (len(s), s))
-        hits = 0
-        for t in symbols:
-            hits ^= cols[t]
-        cancelled = tuple(g for g in range(k1) if g != j and hits >> (k1 - 1 - g) & 1)
-        group_plans.append((symbols, cancelled))
-
-    entries = tuple(
-        ReceiverPlan(k, *group_plans[spec.group_of[k]]) for k in range(spec.inst.k)
-    )
-    return DecodePlan(entries)
+    """Every receiver's decoder row as a table of symbols and cancelled groups."""
+    rows = [decoder_row(spec, k) for k in range(spec.inst.k)]
+    return DecodePlan(tuple(ReceiverPlan(k, r.symbols, r.cancelled) for k, r in enumerate(rows)))

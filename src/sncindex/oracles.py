@@ -173,6 +173,8 @@ def brute_minrank2(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1 (got {jobs})")
+    if early_stop is not None and early_stop > graph.k:
+        raise ValueError(f"early_stop must be at most K={graph.k} (got {early_stop})")
     free_bits = sum(len(a) for a in graph.known)
     if free_bits > cap:
         raise TooLargeError(

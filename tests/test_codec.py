@@ -283,11 +283,17 @@ def test_plan_matches_subset_search_property(inst):
 
 def assert_decoder_certificate(spec):
     # decoding is linear, so x_k = (code symbols + side messages of the row)
-    # for every one of the 2^K messages iff their coefficients sum to e_k
+    # for every one of the 2^K messages iff their coefficients sum to e_k;
+    # and the row is the receiver's plan entry, so decode uses the plan
     k = spec.inst.k
     cols = gf2.pack_rows(np.ascontiguousarray(spec.expanded.T))
+    plan = codec.extract_plan(spec)
     for rec in range(k):
         row = codec.decoder_row(spec, rec)
+        assert row.symbols == plan.entries[rec].symbols, (spec.inst, rec)
+        own = [m for m in spec.groups[spec.group_of[rec]] if m != rec]
+        cancelled = [m for g in row.cancelled for m in spec.groups[g]]
+        assert sorted(row.side) == sorted(own + cancelled), (spec.inst, rec)
         assert set(row.side) <= spec.graph.known_sets[rec], (spec.inst, rec)
         acc = 0
         for t in row.symbols:
@@ -308,15 +314,15 @@ def test_decoder_rows_certified_paper_table(u):
 
 
 def test_certificate_rejects_wrong_solver_column(monkeypatch):
-    solve = codec._solver_vector
+    invert = codec._window_inverse
 
     def flipped(spec, j):
-        w = solve(spec, j).copy()
+        inv = invert(spec, j).copy()
         if j == 3:
-            w[0] ^= 1
-        return w
+            inv[0, -1] ^= 1
+        return inv
 
-    monkeypatch.setattr(codec, "_solver_vector", flipped)
+    monkeypatch.setattr(codec, "_window_inverse", flipped)
     with pytest.raises(AssertionError):
         assert_decoder_certificate(codec.build_code(K20))
 

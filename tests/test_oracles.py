@@ -309,6 +309,13 @@ def test_brute_minrank_rejects_jobs_below_one(jobs):
         oracles.brute_minrank2(snc.build_graph(snc.SncInstance(6, 2, 1)), jobs=jobs)
 
 
+def test_brute_minrank_rejects_early_stop_above_k():
+    graph = snc.build_graph(snc.SncInstance(6, 2, 1))
+    with pytest.raises(ValueError, match="early_stop must be at most K=6"):
+        oracles.brute_minrank2(graph, early_stop=7)
+    assert oracles.brute_minrank2(graph, early_stop=6) == 6  # identity fits
+
+
 def test_brute_minrank_cap():
     with pytest.raises(oracles.TooLargeError):
         oracles.brute_minrank2(snc.build_graph(snc.SncInstance(7, 3, 1)))
@@ -402,9 +409,11 @@ def test_roundtrip_sim_detects_corruption():
     from sncindex.cli import _corrupted
 
     spec = codec.build_code(snc.SncInstance(20, 9, 2))
+    assert oracles.roundtrip_sim(spec, 5, seed=5).passed  # caches healthy rows
     report = oracles.roundtrip_sim(_corrupted(spec), 5, seed=5)
     assert not report.passed
-    assert report.first_failure is not None
+    # the corrupted spec builds its own rows and meets the singular window
+    assert report.first_failure[2].startswith("decode error: ")
 
 
 def test_roundtrip_sim_deterministic():
@@ -438,18 +447,19 @@ def reference_sim(spec, trials, seed):
 
 
 def wrong_solver_spec(inst, *groups):
-    # decoder rows built from solver columns with one flipped entry in the
-    # given groups: wrong answers, no singular window
+    # decoder rows built from window inverses whose solver column (the
+    # last) has one flipped entry in the given groups: wrong answers, no
+    # singular window
     spec = codec.build_code(inst)
-    solve = codec._solver_vector
+    invert = codec._window_inverse
 
     def flipped(spec, j):
-        w = solve(spec, j).copy()
+        inv = invert(spec, j).copy()
         if j in groups:
-            w[j % spec.n] ^= 1
-        return w
+            inv[j % spec.n, -1] ^= 1
+        return inv
 
-    with mock.patch.object(codec, "_solver_vector", flipped):
+    with mock.patch.object(codec, "_window_inverse", flipped):
         for k in range(inst.k):
             codec.decoder_row(spec, k)
     return spec
