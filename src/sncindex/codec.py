@@ -5,9 +5,10 @@ shorter); each group's parity is an extended symbol, and the extended
 vector is multiplied by a K1 x N matrix whose cyclic windows are all
 invertible. Every receiver recovers its message by adding a minimal set
 of code symbols and cancelling the group parities it knows from side
-information. That add-only schedule is one fixed GF(2) row per receiver,
-built once per spec: decode and the round-trip simulator evaluate it on
-every codeword, and the decoding plan prints it.
+information. That add-only schedule is one fixed GF(2) row per receiver.
+All rows of a spec are built together, from one sliding pass of rank-one
+window-inverse updates, and cached: decode and the round-trip simulator
+evaluate them on every codeword, and the decoding plan prints them.
 """
 
 from __future__ import annotations
@@ -122,20 +123,49 @@ def extend(spec: CodeSpec, x) -> np.ndarray:
 
 def encode(spec: CodeSpec, x) -> np.ndarray:
     """Codeword of length N: extended vector times the encoding matrix."""
-    return gf2.vec_mat(extend(spec, x), spec.air.matrix)
+    # extend validated x; uint8 sums wrap mod 256, which keeps their parity
+    return (extend(spec, x) @ spec.air.matrix) & 1
 
 
-def _window(spec: CodeSpec, j: int) -> list[int]:
-    # the n groups whose encoder rows group j's receivers solve for, j last:
-    # all but the d1 groups right after j, which they cancel
-    return [(j + spec.d1 + i) % spec.k1 for i in range(1, spec.n + 1)]
+def _window_inverses(spec: CodeSpec):
+    """Each group j with its window's inverse as packed columns, None if singular.
+
+    j's window is the n encoder rows its receivers solve for: all but the
+    d1 groups right after j, which they cancel. Column p of the inverse is
+    the code-symbol set whose sum meets only window row p, the row of group
+    (j + d1 + 1 + p) % k1; the last column is j's own.
+    """
+    inverses = gf2.cyclic_window_inverses(gf2.pack_rows(spec.air.matrix), spec.n)
+    for s, cols in enumerate(inverses):
+        yield (s - spec.d1 - 1) % spec.k1, cols
 
 
-def _window_inverse(spec: CodeSpec, j: int) -> np.ndarray:
-    try:
-        return gf2.invert(spec.air.matrix[_window(spec, j)])
-    except gf2.NotUniqueError as exc:
-        raise SystemSingularError(f"window starting after group {j} is singular") from exc
+def _build_rows(spec: CodeSpec) -> dict:
+    n, k1 = spec.n, spec.k1
+    encoder = gf2.pack_rows(spec.air.matrix)
+    rows = {}
+    for j, cols in _window_inverses(spec):
+        members = spec.groups[j]
+        if cols is None:
+            rows.update(dict.fromkeys(members))
+            continue
+        common = frozenset.intersection(*(spec.graph.known_sets[m] for m in members))
+        usable = {g for g in {spec.group_of[m] for m in common}
+                  if common.issuperset(spec.groups[g])}
+        coset = [cols[-1]]
+        for p in sorted((g - j - spec.d1 - 1) % k1 for g in usable):
+            if p < n:
+                coset += [s ^ cols[p] for s in coset]
+        # fewest symbols, then the lexicographically smallest index tuple:
+        # index 0 is the top bit, so that is the largest int
+        best = min(coset, key=lambda s: (s.bit_count(), -s))
+        symbols = tuple(t for t, bit in enumerate(format(best, f"0{n}b")) if bit == "1")
+        cancelled = tuple(g for g in sorted(usable) if (encoder[g] & best).bit_count() & 1)
+        known = [msg for g in cancelled for msg in spec.groups[g]]
+        for rec in members:
+            own = [msg for msg in members if msg != rec]
+            rows[rec] = DecoderRow(symbols, tuple(sorted(own + known)), cancelled)
+    return rows
 
 
 def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
@@ -149,31 +179,19 @@ def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
     p the window positions of usable groups. The row adds the smallest set
     of that coset, ordered by size and then lexicographically, and cancels
     the usable groups whose encoder row meets it an odd number of times;
-    the other members of j are stripped last. A group's rows are built
-    together, from one window inverse, and are cached per spec. decode,
-    roundtrip_sim and extract_plan all read these rows.
+    the other members of j are stripped last. The first call builds every
+    receiver's row in one pass over the cyclic windows, each inverse a
+    rank-one update of the one before (gf2.cyclic_window_inverses), and
+    caches them per spec. decode, roundtrip_sim and extract_plan all read
+    these rows.
     """
-    row = spec._rows.get(k)
+    if not spec._rows:
+        spec._rows.update(_build_rows(spec))
+    row = spec._rows[k]
     if row is None:
-        j = spec.group_of[k]
-        members = spec.groups[j]
-        common = frozenset.intersection(*(spec.graph.known_sets[m] for m in members))
-        usable = {g for g in {spec.group_of[m] for m in common}
-                  if common.issuperset(spec.groups[g])}
-        inv = _window_inverse(spec, j)
-        coset = [frozenset(np.flatnonzero(inv[:, -1]).tolist())]
-        for p, g in enumerate(_window(spec, j)):
-            if g in usable:
-                col = frozenset(np.flatnonzero(inv[:, p]).tolist())
-                coset += [s ^ col for s in coset]
-        symbols = min((tuple(sorted(s)) for s in coset), key=lambda s: (len(s), s))
-        odd = spec.air.matrix[:, symbols].sum(axis=1) & 1
-        cancelled = tuple(g for g in sorted(usable) if odd[g])
-        known = [msg for g in cancelled for msg in spec.groups[g]]
-        for rec in members:
-            own = [msg for msg in members if msg != rec]
-            spec._rows[rec] = DecoderRow(symbols, tuple(sorted(own + known)), cancelled)
-        row = spec._rows[k]
+        raise SystemSingularError(
+            f"window starting after group {spec.group_of[k]} is singular"
+        )
     return row
 
 

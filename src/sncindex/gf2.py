@@ -116,6 +116,44 @@ def invert(a) -> np.ndarray:
     return unpack_rows([basis.reduce(1 << (2 * n - 1 - p)) for p in range(n)], n)
 
 
+def cyclic_window_inverses(rows: list[int], n: int):
+    """Inverse of every cyclic n-row window of a packed m x n matrix, by start.
+
+    For s = 0..m-1, yields the inverse of rows s, s+1, ..., s+n-1 (mod m)
+    as n packed columns (row index 0 the most significant bit), or None
+    when that window is singular. Windows s and s+1 differ in one row, so
+    only the first window, and the first after a singular one, is
+    inverted from scratch; every other inverse is a rank-one update.
+    The inverse is kept in slots: the window row with unwrapped index r
+    sits in slot r % n, so the row that enters takes the slot of the row
+    that leaves. With v their difference, u = cols[p] the leaving slot's
+    column and w_c = v . cols[c], Sherman-Morrison over GF(2) adds u to
+    every column with w_c = 1; w_p = 1 means the new window is singular.
+    """
+    m = len(rows)
+    if not 1 <= n <= m:
+        raise ValueError("window size must lie between 1 and the row count")
+    cols = None
+    for s in range(m):
+        r = s % n
+        if cols is None:
+            try:
+                inv = invert(unpack_rows([rows[(s + i) % m] for i in range(n)], n))
+            except NotUniqueError:
+                yield None
+                continue
+            by_position = pack_rows(np.ascontiguousarray(inv.T))
+            cols = by_position[n - r:] + by_position[:n - r]
+        elif v := rows[s - 1] ^ rows[(s - 1 + n) % m]:
+            u = cols[(s - 1) % n]
+            if (v & u).bit_count() & 1:
+                cols = None
+                yield None
+                continue
+            cols = [col ^ u if (v & col).bit_count() & 1 else col for col in cols]
+        yield cols[r:] + cols[:r]
+
+
 def vec_mat(x, m) -> np.ndarray:
     """Row vector times matrix over GF(2): xor of the rows selected by x."""
     xx = as_bits(x, ndim=1)

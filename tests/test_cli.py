@@ -238,7 +238,7 @@ def test_commands_are_deterministic(capsys):
 @pytest.mark.parametrize("argv,target,exc", [
     (("decode", "--k", "20", "--d", "9", "--u", "2", "--receiver", "4", "--code", "10000",
       "--sideinfo", "??11?100101101??????"), "decode", codec.SystemSingularError),
-    (("plan", "--k", "20", "--d", "9", "--u", "2"), "_window_inverse", codec.SystemSingularError),
+    (("plan", "--k", "20", "--d", "9", "--u", "2"), "_window_inverses", codec.SystemSingularError),
     (("verify", "--k", "20", "--d", "9", "--u", "2"), "code_for", codec.SystemSingularError),
 ])
 def test_construction_faults_exit_2(capsys, monkeypatch, argv, target, exc):

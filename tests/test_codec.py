@@ -314,15 +314,15 @@ def test_decoder_rows_certified_paper_table(u):
 
 
 def test_certificate_rejects_wrong_solver_column(monkeypatch):
-    invert = codec._window_inverse
+    inverses = codec._window_inverses
 
-    def flipped(spec, j):
-        inv = invert(spec, j).copy()
-        if j == 3:
-            inv[0, -1] ^= 1
-        return inv
+    def flipped(spec):
+        for j, cols in inverses(spec):
+            if j == 3:
+                cols = [*cols[:-1], cols[-1] ^ 1 << (spec.n - 1)]
+            yield j, cols
 
-    monkeypatch.setattr(codec, "_window_inverse", flipped)
+    monkeypatch.setattr(codec, "_window_inverses", flipped)
     with pytest.raises(AssertionError):
         assert_decoder_certificate(codec.build_code(K20))
 
@@ -343,3 +343,9 @@ def test_decode_recovers_every_message_property(inst, seed):
     c = codec.encode(spec, x)
     for k in range(inst.k):
         assert codec.decode(spec, k, c, side_of(spec.graph, x, k)) == x[k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=instances(2000))
+def test_decoder_rows_certified_property(inst):
+    assert_decoder_certificate(codec.code_for(inst))

@@ -133,6 +133,51 @@ def test_invert_round_trip():
         gf2.invert([[1, 1], [1, 1]])
 
 
+def assert_cyclic_window_inverses(mat):
+    # every start yielded once, in order; None exactly where the window is
+    # singular, and otherwise gf2.invert's inverse as packed columns
+    m, n = mat.shape
+    got = list(gf2.cyclic_window_inverses(gf2.pack_rows(mat), n))
+    assert len(got) == m
+    for s, cols in enumerate(got):
+        window = mat[[(s + i) % m for i in range(n)]]
+        if gf2.rank(window) < n:
+            assert cols is None, (mat.tolist(), s)
+        else:
+            inv = gf2.invert(window)
+            assert cols == gf2.pack_rows(np.ascontiguousarray(inv.T)), (mat.tolist(), s)
+    return [cols is None for cols in got]
+
+
+def test_cyclic_window_inverses_air_to_24():
+    for m in range(1, 25):
+        for n in range(1, m + 1):
+            assert not any(assert_cyclic_window_inverses(air.build_air(m, n).matrix))
+
+
+def test_cyclic_window_inverses_random_and_zeroed_rows():
+    rng = np.random.default_rng(31)
+    entered = left = 0
+    for trial in range(400):
+        m = int(rng.integers(1, 16))
+        n = int(rng.integers(1, m + 1))
+        mat = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        if trial % 2:
+            mat[rng.integers(0, m)] = 0
+        singular = assert_cyclic_window_inverses(mat)
+        # a singular window found by the rank-one test, and a correct
+        # inverse again right after a singular window
+        entered += sum(not a and b for a, b in zip(singular, singular[1:]))
+        left += sum(a and not b for a, b in zip(singular, singular[1:]))
+    assert entered > 50 and left > 50
+
+
+def test_cyclic_window_inverses_rejects_bad_window_size():
+    for n in (0, 3):
+        with pytest.raises(ValueError):
+            list(gf2.cyclic_window_inverses([1, 2], n))
+
+
 def test_in_span_zero_vector():
     coeffs = span_coefficients([0, 0], [[1, 0]])
     assert coeffs is not None and coeffs.tolist() == [0]

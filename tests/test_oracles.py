@@ -451,15 +451,15 @@ def wrong_solver_spec(inst, *groups):
     # last) has one flipped entry in the given groups: wrong answers, no
     # singular window
     spec = codec.build_code(inst)
-    invert = codec._window_inverse
+    inverses = codec._window_inverses
 
-    def flipped(spec, j):
-        inv = invert(spec, j).copy()
-        if j in groups:
-            inv[j % spec.n, -1] ^= 1
-        return inv
+    def flipped(spec):
+        for j, cols in inverses(spec):
+            if j in groups:
+                cols = [*cols[:-1], cols[-1] ^ 1 << (spec.n - 1 - j % spec.n)]
+            yield j, cols
 
-    with mock.patch.object(codec, "_window_inverse", flipped):
+    with mock.patch.object(codec, "_window_inverses", flipped):
         for k in range(inst.k):
             codec.decoder_row(spec, k)
     return spec
