@@ -8,7 +8,6 @@ from .air import (
     build_air,
     chain_of,
     first_deficient_window,
-    verify_consecutive_rank,
 )
 from .codec import (
     CodeSpec,

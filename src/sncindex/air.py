@@ -98,8 +98,3 @@ def first_deficient_window(matrix) -> int | None:
         if len(gf2.Basis(ints[s:s + n])) < n:
             return s
     return None
-
-
-def verify_consecutive_rank(a: AirMatrix) -> bool:
-    """True iff every set of n cyclically consecutive rows has full rank n."""
-    return first_deficient_window(a.matrix) is None

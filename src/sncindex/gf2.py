@@ -45,11 +45,7 @@ def unpack_rows(rows: list[int], n: int) -> np.ndarray:
 
 
 class Basis:
-    """Echelon basis of packed rows, one row per leading bit position.
-
-    Rows are never rewritten once stored, so removing the most recently
-    inserted row restores the basis as it was before that insert.
-    """
+    """Echelon basis of packed rows, one row per leading bit position."""
 
     __slots__ = ("pivots",)
 
@@ -89,10 +85,6 @@ class Basis:
         if v:
             self.pivots[v.bit_length()] = v
         return v
-
-    def remove(self, row: int) -> None:
-        """Undo the latest insert still in effect, given the row it returned."""
-        del self.pivots[row.bit_length()]
 
 
 def rank(m) -> int:

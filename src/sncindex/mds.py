@@ -20,6 +20,15 @@ from .gfp import PrimeField, smallest_prime_field
 from .snc import SncInstance, SideInfoGraph, build_graph
 
 
+@dataclass(frozen=True)
+class DecoderTable:
+    """Every receiver's GF(p) decoder; see decoder_table."""
+
+    rows: np.ndarray
+    side: np.ndarray
+    known_side: tuple[list[int], ...]  # side[k] at graph.known[k]: what mds_decode sums
+
+
 @dataclass(frozen=True, eq=False)
 class MdsCodeSpec:
     inst: SncInstance
@@ -27,7 +36,7 @@ class MdsCodeSpec:
     n: int
     generator: np.ndarray
     graph: SideInfoGraph
-    _solvers: dict = field(default_factory=dict, repr=False)
+    _table: list = field(default_factory=list, repr=False)
 
 
 def build_mds(inst: SncInstance) -> MdsCodeSpec:
@@ -48,26 +57,43 @@ def mds_encode(spec: MdsCodeSpec, x) -> np.ndarray:
     return (xx @ spec.generator) % spec.pf.p
 
 
-def _unknown_solver(spec: MdsCodeSpec, k: int) -> tuple[np.ndarray, list[int]]:
-    # row holds the coefficients of the polynomial L that is 1 at k and 0 at
-    # the other unknown messages, so row . c = x_k + sum of L(j) x_j over the
-    # known j: x_k = row . c - coef . side with coef = [L(j) for known j]
-    cached = spec._solvers.get(k)
-    if cached is None:
-        p = spec.pf.p
-        row, scale = np.ones(1, dtype=np.int64), 1
-        for a in set(range(spec.inst.k)) - spec.graph.known_sets[k] - {k}:
-            row = np.convolve(row, [-a % p, 1]) % p
-            scale = scale * (k - a) % p
-        row = row * spec.pf.inv(scale) % p
-        known_rows = spec.generator[list(spec.graph.known[k])]
-        cached = (row, ((known_rows @ row) % p).tolist())
-        spec._solvers[k] = cached
-    return cached
+def decoder_table(spec: MdsCodeSpec) -> DecoderTable:
+    """Every receiver's Lagrange row and side coefficients, built once per spec.
+
+    rows[k] holds the coefficients, lowest power first, of the polynomial
+    L_k that is 1 at k and 0 at k's other unknown points; side[k, j] is
+    L_k(j) where k knows j, else 0. With c = x G, rows[k] . c sums
+    L_k(i) x_i, so x_k = rows[k] . c - side[k] . x for every message x.
+    All K polynomials are multiplied out together, one factor (z - a) per
+    step with a the next unknown point of each receiver; one product with
+    the generator then evaluates them at every message index, and the
+    value at k is the scale that makes L_k(k) = 1.
+    """
+    if spec._table:
+        return spec._table[0]
+    k, n, p = spec.inst.k, spec.n, spec.pf.p
+    ids = np.arange(k)
+    known = np.array(spec.graph.known, dtype=np.intp)
+    unknown = np.ones((k, k), dtype=bool)
+    unknown[ids[:, None], known] = False
+    points = np.nonzero(unknown & ~np.eye(k, dtype=bool))[1].reshape(k, n - 1)
+    coef = np.zeros((n, k), dtype=np.int64)  # coef[t, r]: z**t in receiver r's polynomial
+    coef[0] = 1
+    for s, a in enumerate(points.T):
+        coef[1:s + 2] = coef[:s + 1] - a * coef[1:s + 2]  # times (z - a)
+        coef[0] *= -a
+        coef[:s + 2] %= p
+    values = (spec.generator @ coef).T % p
+    scale = np.array([spec.pf.inv(v) for v in values.diagonal().tolist()], dtype=np.int64)
+    rows = (coef * scale % p).T.copy()
+    side = np.where(unknown, 0, values * scale[:, None] % p)
+    rows.flags.writeable = side.flags.writeable = False
+    spec._table.append(DecoderTable(rows, side, tuple(side[ids[:, None], known].tolist())))
+    return spec._table[0]
 
 
 def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
-    """Evaluate receiver k's precomputed row on the codeword and side information.
+    """Evaluate receiver k's row of the decoder table on the codeword and side information.
 
     Codeword and side values are reduced mod p by the arithmetic itself.
     """
@@ -79,9 +105,9 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     known = spec.graph.known[k]
     if side.keys() != spec.graph.known_sets[k]:
         raise ValueError(f"side information must cover exactly the known set of receiver {k}")
-    row, coef = _unknown_solver(spec, k)
-    known_part = sum(map(mul, coef, map(side.__getitem__, known)))
-    return int((int(row @ cc) - known_part) % spec.pf.p)
+    table = decoder_table(spec)
+    known_part = sum(map(mul, table.known_side[k], map(side.__getitem__, known)))
+    return int((int(table.rows[k].dot(cc)) - known_part) % spec.pf.p)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from sncindex import codec, gf2, gfp
+from sncindex import codec, gf2, gfp, mds
 
 
 def subset_search_plan(spec: codec.CodeSpec) -> codec.DecodePlan:
@@ -108,3 +108,19 @@ def prime_rank(field: gfp.PrimeField, a) -> int:
         aa %= p
         r += 1
     return r
+
+
+def mds_table_certified(spec: mds.MdsCodeSpec, table: mds.DecoderTable) -> bool:
+    """Whether the table decodes every one of the p^K messages.
+
+    Receiver k outputs rows[k] . c - side[k] . x with c = x G, which is
+    x . (G rows[k] - side[k]). That equals x_k for every x iff
+    (rows G^T - side) mod p is the identity, and the receiver reads only
+    messages it knows iff side[k] is 0 outside its known set.
+    """
+    k, p = spec.inst.k, spec.pf.p
+    known = np.zeros((k, k), dtype=bool)
+    for rec, js in enumerate(spec.graph.known_sets):
+        known[rec, list(js)] = True
+    exact = (table.rows @ spec.generator.T - table.side) % p == np.eye(k, dtype=np.int64)
+    return bool(exact.all()) and not table.side[~known].any()

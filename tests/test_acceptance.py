@@ -14,6 +14,8 @@ import pytest
 from sncindex import air, codec, gf2, mds, oracles, snc
 from sncindex.cli import main, truncated_rate
 
+from reference import mds_table_certified
+
 GOLDEN = Path(__file__).parent / "data" / "rate_table_golden.tsv"
 
 
@@ -176,13 +178,19 @@ def test_criterion_10_mds_baseline():
     swept = 0
     for inst in instances(40, include_full=True):
         spec = mds.build_mds(inst)
+        table = mds.decoder_table(spec)
+        # exact: every receiver decodes all p^K messages
+        assert mds_table_certified(spec, table), inst
         rng = np.random.default_rng(inst.k * 100_000 + inst.d * 100 + inst.u)
-        for _ in range(50):
-            x = rng.integers(0, spec.pf.p, size=inst.k)
-            c = mds.mds_encode(spec, x)
-            for rec in range(inst.k):
-                side = {j: int(x[j]) for j in spec.graph.known[rec]}
-                assert mds.mds_decode(spec, rec, c, side) == x[rec], (inst, rec)
+        x = np.array([rng.integers(0, spec.pf.p, size=inst.k) for _ in range(50)])
+        c = np.array([mds.mds_encode(spec, trial) for trial in x])
+        # every receiver of every trial at once: x_k = rows[k] . c - side[k] . x
+        decoded = (c @ table.rows.T - x @ table.side.T) % spec.pf.p
+        assert (decoded == x).all(), inst
+        first = x[0].tolist()
+        for rec in range(inst.k):
+            side = {j: first[j] for j in spec.graph.known[rec]}
+            assert mds.mds_decode(spec, rec, c[0], side) == first[rec], (inst, rec)
         swept += 1
     cmp = mds.compare_lengths(snc.SncInstance(20, 9, 2))
     assert cmp.winner == "air" and cmp.conjecture_value == 5

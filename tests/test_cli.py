@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from sncindex import codec
+from sncindex import codec, mds
 from sncindex.cli import main, truncated_rate
 from fractions import Fraction
 
@@ -219,6 +219,15 @@ def test_baseline_generator_and_compare(capsys):
     code, out, _ = run(capsys, "baseline", "mds", "--k", "20", "--d", "9", "--u", "2", "--compare")
     assert code == 0
     assert out.splitlines()[1] == "5\t9\tair\t5"
+
+
+def test_baseline_compare_builds_no_code(capsys, monkeypatch):
+    def no_build(inst):
+        raise AssertionError("--compare needs no generator")
+
+    monkeypatch.setattr(mds, "build_mds", no_build)
+    code, out, err = run(capsys, "baseline", "mds", "--k", "20", "--d", "9", "--u", "2", "--compare")
+    assert (code, out, err) == (0, "gamma\tmds_length\twinner\tconjecture_value\n5\t9\tair\t5\n", "")
 
 
 def test_baseline_encode(capsys):

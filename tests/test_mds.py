@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from sncindex import mds, snc
 
-from reference import prime_rank
+from reference import mds_table_certified, prime_rank
 
 
 def side_of(graph, x, k):
@@ -71,15 +72,48 @@ def test_decode_round_trip_small():
                 assert mds.mds_decode(spec, rec, c, side_of(spec.graph, x, rec)) == x[rec]
 
 
-@pytest.mark.parametrize("k,d,u", [(4, 1, 0), (9, 4, 2), (13, 3, 1), (40, 5, 2), (40, 0, 0)])
+@pytest.mark.parametrize("k,d,u", [
+    (4, 1, 0), (9, 4, 2), (13, 3, 1), (40, 5, 2), (40, 0, 0), (2, 1, 0), (3, 0, 0), (5, 3, 1),
+])
 def test_decoder_row_is_the_inverse_row(k, d, u):
     # the Lagrange coefficients equal the generic inverse of the unknown window
     spec = mds.build_mds(snc.SncInstance(k, d, u))
+    table = mds.decoder_table(spec)
+    assert table.rows.shape == (k, spec.n) and table.side.shape == (k, k)
+    assert mds_table_certified(spec, table)
     for rec in range(k):
         unknown = sorted(set(range(k)) - spec.graph.known_sets[rec])
         inverse = spec.pf.invert(spec.generator[unknown].T)
-        row, _ = mds._unknown_solver(spec, rec)
-        assert row.tolist() == inverse[unknown.index(rec)].tolist()
+        assert table.rows[rec].tolist() == inverse[unknown.index(rec)].tolist()
+        assert table.known_side[rec] == table.side[rec, list(spec.graph.known[rec])].tolist()
+
+
+@pytest.mark.parametrize("which", ["rows", "side"])
+def test_certificate_rejects_a_changed_coefficient(which):
+    spec = mds.build_mds(snc.SncInstance(13, 3, 1))
+    table = mds.decoder_table(spec)
+    assert mds_table_certified(spec, table)
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        changed = getattr(table, which).copy()
+        r, j = rng.integers(0, 13), rng.integers(0, changed.shape[1])
+        changed[r, j] = (changed[r, j] + rng.integers(1, spec.pf.p)) % spec.pf.p
+        assert not mds_table_certified(spec, replace(table, **{which: changed}))
+
+
+@pytest.mark.parametrize("k,d,u", [(7, 2, 1), (20, 9, 2), (31, 0, 0), (12, 6, 5)])
+def test_decode_matches_batched_product(k, d, u):
+    # x_hat = (C rows^T - X side^T) mod p decodes every receiver of every trial
+    spec = mds.build_mds(snc.SncInstance(k, d, u))
+    table = mds.decoder_table(spec)
+    x = np.random.default_rng(k * 100 + d * 10 + u).integers(0, spec.pf.p, size=(25, k))
+    c = np.array([mds.mds_encode(spec, row) for row in x])
+    batch = (c @ table.rows.T - x @ table.side.T) % spec.pf.p
+    assert (batch == x).all()
+    for t in range(len(x)):
+        for rec in range(k):
+            side = side_of(spec.graph, x[t], rec)
+            assert mds.mds_decode(spec, rec, c[t], side) == batch[t, rec]
 
 
 def test_decode_clique_case_is_subtraction():
