@@ -12,7 +12,6 @@ from .air import (
 from .codec import (
     CodeSpec,
     DecodePlan,
-    ReceiverPlan,
     build_code,
     code_for,
     decode,

@@ -93,8 +93,10 @@ def first_deficient_window(matrix) -> int | None:
     """Start index of the first cyclic n-row window with rank < n, else None."""
     arr = gf2.as_bits(matrix, ndim=2)
     m, n = arr.shape
-    ints = gf2.pack_rows(arr) * 2  # doubled, so every cyclic window is a slice
-    for s in range(m):
-        if len(gf2.Basis(ints[s:s + n])) < n:
-            return s
-    return None
+    # shapes the window kernel rejects: no window at all, or every window short of rank n
+    if not m or not n:
+        return None
+    if n > m:
+        return 0
+    inverses = gf2.cyclic_window_inverses(gf2.pack_rows(arr), n)
+    return next((s for s, cols in enumerate(inverses) if cols is None), None)

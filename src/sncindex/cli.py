@@ -145,11 +145,7 @@ def _corrupted(spec: codec.CodeSpec) -> codec.CodeSpec:
     # test hook: zero the first encoder row so group 0 becomes undecodable
     broken = spec.air.matrix.copy()
     broken[0] = 0
-    bad_air = dataclasses.replace(spec.air, matrix=broken)
-    # a fresh row cache: the healthy spec's rows must not leak into this one
-    return dataclasses.replace(
-        spec, air=bad_air, expanded=broken[np.array(spec.group_of)], _rows={}
-    )
+    return dataclasses.replace(spec, air=dataclasses.replace(spec.air, matrix=broken))
 
 
 def _cmd_verify(args) -> int:

@@ -1,19 +1,21 @@
 """Scalar linear encoder and decoder built on the stacked-identity matrices.
 
 Messages are grouped into consecutive runs of U+1 (the last group may be
-shorter); each group's parity is an extended symbol, and the extended
-vector is multiplied by a K1 x N matrix whose cyclic windows are all
-invertible. Every receiver recovers its message by adding a minimal set
-of code symbols and cancelling the group parities it knows from side
-information. That add-only schedule is one fixed GF(2) row per receiver.
-All rows of a spec are built together, from one sliding pass of rank-one
-window-inverse updates, and cached: decode and the round-trip simulator
-evaluate them on every codeword, and the decoding plan prints them.
+shorter), or into one group of all K when U + D = K - 1; each group's
+parity is an extended symbol, and the extended vector is multiplied by a
+K1 x N matrix whose cyclic windows are all invertible. Every receiver
+recovers its message by adding a minimal set of code symbols and
+cancelling the group parities it knows from side information. That
+add-only schedule is one fixed GF(2) row per receiver. All rows of a spec
+are built together, from one sliding pass of rank-one window-inverse
+updates, and cached: decode and the round-trip simulator evaluate them on
+every codeword, and the decoding plan prints them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -39,72 +41,81 @@ class SystemSingularError(RuntimeError):
 class CodeSpec:
     """Everything a transmitter and its receivers need for one instance.
 
-    groups[j] lists the message indices whose parity is extended symbol j;
+    groups[j] lists the consecutive message indices whose parity is
+    extended symbol j, and the receivers of group j cancel the d1 groups
+    right after it. Everything else is derived from the fields on first
+    use, so a spec copied with another air matrix derives its own:
     expanded replicates row group_of[k] of the encoding matrix so that the
     codeword is also a direct product with the raw message vector.
     """
 
     inst: SncInstance
-    k1: int
-    d1: int
-    n: int
     groups: tuple[tuple[int, ...], ...]
-    group_of: tuple[int, ...]
+    d1: int
     air: AirMatrix
-    expanded: np.ndarray
     graph: SideInfoGraph
-    _rows: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def k1(self) -> int:
+        return len(self.groups)
+
+    @property
+    def n(self) -> int:
+        return self.air.n
+
+    @cached_property
+    def group_of(self) -> tuple[int, ...]:
+        return tuple(j for j, members in enumerate(self.groups) for _ in members)
+
+    @cached_property
+    def expanded(self) -> np.ndarray:
+        out = self.air.matrix[np.array(self.group_of)]
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        return np.array([members[0] for members in self.groups])
+
+    @cached_property
+    def _rows(self) -> list[DecoderRow | None]:
+        return _build_rows(self)
 
 
 @dataclass(frozen=True, slots=True)
 class DecoderRow:
-    """Receiver k's message as the parity of these code symbols and side-info messages.
+    """The receiver's message as the parity of these code symbols and side-info messages.
 
     cancelled lists the groups whose parities the symbols carry besides
-    k's own; side holds their members and the rest of k's group.
+    the receiver's own; side holds their members and the rest of its group.
     """
 
+    receiver: int
     symbols: tuple[int, ...]
     side: tuple[int, ...]
     cancelled: tuple[int, ...]
 
 
+def _code(inst: SncInstance, groups: tuple[tuple[int, ...], ...], d1: int) -> CodeSpec:
+    # one encoder row per group; each receiver's window leaves out the d1 it cancels
+    k1 = len(groups)
+    return CodeSpec(inst, groups, d1, build_air(k1, k1 - d1), build_graph(inst))
+
+
 def build_code(inst: SncInstance) -> CodeSpec:
-    """The general construction; length equals the code_length formula."""
+    """The general construction: groups of U+1; length equals the code_length formula."""
     if inst.full_side_info:
         raise FullSideInfo("use single_sum_code when U + D = K - 1")
-    k, d, u = inst.k, inst.d, inst.u
-    k1 = -(-k // (u + 1))
-    d1 = (d - u) // (u + 1)
-    n = k1 - d1
-    groups = tuple(
-        tuple(range(j * (u + 1), min((j + 1) * (u + 1), k))) for j in range(k1)
-    )
-    group_of = tuple(x // (u + 1) for x in range(k))
-    mat = build_air(k1, n)
-    expanded = mat.matrix[np.array(group_of)]
-    expanded.flags.writeable = False
-    return CodeSpec(inst, k1, d1, n, groups, group_of, mat, expanded, build_graph(inst))
+    k, size = inst.k, inst.u + 1
+    groups = tuple(tuple(range(s, min(s + size, k))) for s in range(0, k, size))
+    return _code(inst, groups, (inst.d - inst.u) // size)
 
 
 def single_sum_code(inst: SncInstance) -> CodeSpec:
     """One code symbol, the parity of all K messages (U + D = K - 1 only)."""
     if not inst.full_side_info:
         raise ValueError("single_sum_code requires U + D = K - 1")
-    k = inst.k
-    expanded = np.ones((k, 1), dtype=np.uint8)
-    expanded.flags.writeable = False
-    return CodeSpec(
-        inst,
-        k1=1,
-        d1=0,
-        n=1,
-        groups=(tuple(range(k)),),
-        group_of=(0,) * k,
-        air=build_air(1, 1),
-        expanded=expanded,
-        graph=build_graph(inst),
-    )
+    return _code(inst, (tuple(range(inst.k)),), 0)
 
 
 def code_for(inst: SncInstance) -> CodeSpec:
@@ -117,8 +128,7 @@ def extend(spec: CodeSpec, x) -> np.ndarray:
     xx = gf2.as_bits(x, ndim=1)
     if xx.shape[0] != spec.inst.k:
         raise LengthMismatchError(f"expected {spec.inst.k} bits, got {xx.shape[0]}")
-    starts = np.array([g[0] for g in spec.groups])
-    return np.bitwise_xor.reduceat(xx, starts)
+    return np.bitwise_xor.reduceat(xx, spec._starts)
 
 
 def encode(spec: CodeSpec, x) -> np.ndarray:
@@ -140,15 +150,14 @@ def _window_inverses(spec: CodeSpec):
         yield (s - spec.d1 - 1) % spec.k1, cols
 
 
-def _build_rows(spec: CodeSpec) -> dict:
+def _build_rows(spec: CodeSpec) -> list[DecoderRow | None]:
     n, k1 = spec.n, spec.k1
     encoder = gf2.pack_rows(spec.air.matrix)
-    rows = {}
+    rows: list[DecoderRow | None] = [None] * spec.inst.k
     for j, cols in _window_inverses(spec):
-        members = spec.groups[j]
         if cols is None:
-            rows.update(dict.fromkeys(members))
             continue
+        members = spec.groups[j]
         common = frozenset.intersection(*(spec.graph.known_sets[m] for m in members))
         usable = {g for g in {spec.group_of[m] for m in common}
                   if common.issuperset(spec.groups[g])}
@@ -164,7 +173,7 @@ def _build_rows(spec: CodeSpec) -> dict:
         known = [msg for g in cancelled for msg in spec.groups[g]]
         for rec in members:
             own = [msg for msg in members if msg != rec]
-            rows[rec] = DecoderRow(symbols, tuple(sorted(own + known)), cancelled)
+            rows[rec] = DecoderRow(rec, symbols, tuple(sorted(own + known)), cancelled)
     return rows
 
 
@@ -182,11 +191,9 @@ def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
     the other members of j are stripped last. The first call builds every
     receiver's row in one pass over the cyclic windows, each inverse a
     rank-one update of the one before (gf2.cyclic_window_inverses), and
-    caches them per spec. decode, roundtrip_sim and extract_plan all read
+    the spec keeps them. decode, roundtrip_sim and extract_plan all read
     these rows.
     """
-    if not spec._rows:
-        spec._rows.update(_build_rows(spec))
     row = spec._rows[k]
     if row is None:
         raise SystemSingularError(
@@ -220,17 +227,8 @@ def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
 
 
 @dataclass(frozen=True)
-class ReceiverPlan:
-    """Code symbols to add, and the group parities cancelled afterwards."""
-
-    receiver: int
-    symbols: tuple[int, ...]
-    cancelled: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DecodePlan:
-    entries: tuple[ReceiverPlan, ...]
+    entries: tuple[DecoderRow, ...]
 
     def table_rows(self) -> list[tuple[int, int, tuple[int, ...]]]:
         """Maximal runs of consecutive receivers sharing a symbol set."""
@@ -244,6 +242,5 @@ class DecodePlan:
 
 
 def extract_plan(spec: CodeSpec) -> DecodePlan:
-    """Every receiver's decoder row as a table of symbols and cancelled groups."""
-    rows = [decoder_row(spec, k) for k in range(spec.inst.k)]
-    return DecodePlan(tuple(ReceiverPlan(k, r.symbols, r.cancelled) for k, r in enumerate(rows)))
+    """Every receiver's decoder row, in receiver order."""
+    return DecodePlan(tuple(decoder_row(spec, k) for k in range(spec.inst.k)))

@@ -18,11 +18,14 @@ class NotUniqueError(ValueError):
 def as_bits(a, ndim=None) -> np.ndarray:
     """Coerce to a uint8 array of 0/1 entries, validating the values."""
     arr = np.asarray(a)
-    if arr.dtype == bool:
+    kind = arr.dtype.kind
+    if kind == "b":
         arr = arr.astype(np.uint8)
-    if not np.issubdtype(arr.dtype, np.integer):
+    elif kind == "i":  # viewed unsigned, a negative entry is above 1 too
+        arr = arr.view(arr.dtype.str.replace("i", "u"))
+    elif kind != "u":
         raise ValueError("entries must be integers 0 or 1")
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
+    if arr.size and arr.max() > 1:
         raise ValueError("entries must be 0 or 1")
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")

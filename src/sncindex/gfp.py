@@ -47,7 +47,8 @@ class PrimeField:
         arr = np.asarray(a, dtype=np.int64)
         if arr.ndim != ndim:
             raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.p):
+        # one reduction: viewed unsigned, a negative entry is at least p as well
+        if arr.size and arr.view(np.uint64).max() >= self.p:
             raise ValueError(f"entries must lie in [0, {self.p})")
         return arr
 

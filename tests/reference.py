@@ -13,13 +13,14 @@ import numpy as np
 from sncindex import codec, gf2, gfp, mds
 
 
-def subset_search_plan(spec: codec.CodeSpec) -> codec.DecodePlan:
+def subset_search_plan(spec: codec.CodeSpec) -> list[tuple[int, tuple, tuple]]:
     """Minimal add-only decoding schedules by exhaustive search.
 
     For each group j, the usable cancellations are the groups fully known
     to every receiver of group j. The smallest set of code symbols whose
     column sum hits group j plus only such groups is found by trying
     subsets, ordered by size and then lexicographically. Exponential in N.
+    Returns (receiver, symbols, cancelled) for every receiver in order.
     """
     k1, n = spec.k1, spec.n
     cols = gf2.pack_rows(spec.air.matrix.T)
@@ -58,10 +59,7 @@ def subset_search_plan(spec: codec.CodeSpec) -> codec.DecodePlan:
         assert found is not None, f"no combination isolates group {j}"
         group_plans.append(found)
 
-    entries = tuple(
-        codec.ReceiverPlan(k, *group_plans[spec.group_of[k]]) for k in range(spec.inst.k)
-    )
-    return codec.DecodePlan(entries)
+    return [(k, *group_plans[spec.group_of[k]]) for k in range(spec.inst.k)]
 
 
 def subset_search_bounded(k: int, d: int, u: int) -> bool:

@@ -137,6 +137,32 @@ def test_deficient_window_reported():
     assert gf2.rank(broken[rows]) < 5
 
 
+def first_deficient_by_rank(mat):
+    # every cyclic window's rank, one at a time
+    m, n = mat.shape
+    for s in range(m):
+        if gf2.rank(mat[[(s + i) % m for i in range(n)]]) < n:
+            return s
+    return None
+
+
+def test_first_deficient_window_random_matrices():
+    rng = np.random.default_rng(11)
+    for _ in range(600):
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(1, m + 1))
+        mat = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        assert air.first_deficient_window(mat) == first_deficient_by_rank(mat), mat.tolist()
+
+
+@pytest.mark.parametrize(
+    "m,n,want", [(0, 0, None), (0, 3, None), (3, 0, None), (1, 2, 0), (2, 5, 0)]
+)
+def test_first_deficient_window_degenerate_shapes(m, n, want):
+    # shapes without a cyclic window of n rows: none to fail, or all rank-deficient
+    assert air.first_deficient_window(np.ones((m, n), dtype=np.uint8)) == want
+
+
 @pytest.mark.parametrize("m,n", [(3, 5), (4, 0), (0, 0)])
 def test_invalid_shapes_rejected(m, n):
     with pytest.raises(air.InvalidShapeError):

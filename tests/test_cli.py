@@ -174,11 +174,17 @@ def test_verify_with_oracles(capsys):
 
 
 def test_verify_corrupt_hook_fails(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--k", "20", "--d", "9", "--u", "2", "--trials", "5", "--corrupt"
-    )
-    assert code == 2
-    assert "FAIL" in out
+    for k, d, u in [(20, 9, 2), (5, 3, 1)]:
+        code, out, err = run(
+            capsys, "verify", "--k", str(k), "--d", str(d), "--u", str(u), "--trials", "5",
+            "--corrupt",
+        )
+        assert (code, err) == (2, ""), (k, d, u)
+        assert out == (
+            "roundtrip\tFAIL\ttrial=0\treceiver=0\t"
+            "detail=decode error: window starting after group 0 is singular\n"
+            "decodable\tFAIL\treceiver=0\n"
+        ), (k, d, u)
 
 
 def test_oracle_mais(capsys):

@@ -224,6 +224,25 @@ def test_bits_text_round_trip():
         gf2.parse_bits("10x1")
 
 
+@pytest.mark.parametrize(
+    "values,error",
+    [
+        (np.array([0, -1], dtype=np.int64), "entries must be 0 or 1"),
+        (np.array([0, -1], dtype=np.int8), "entries must be 0 or 1"),
+        (np.array([1, 2]), "entries must be 0 or 1"),
+        (np.array([0.0, 1.0]), "entries must be integers 0 or 1"),
+        (np.array([0, 1], dtype=np.int8), None),
+        (np.array([True, False]), None),
+    ],
+)
+def test_as_bits_validates_entries(values, error):
+    if error is None:
+        assert gf2.as_bits(values).tolist() == values.astype(int).tolist()
+    else:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            gf2.as_bits(values)
+
+
 def test_gf2_privates_stay_inside_gf2():
     root = Path(__file__).resolve().parents[1]
     needle = "gf2." + "_"

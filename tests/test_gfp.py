@@ -75,3 +75,13 @@ def test_matrix_text_round_trip():
     m = np.array([[1, 0, 4], [2, 22, 7]], dtype=np.int64)
     text = gfp.format_matrix(m)
     assert text == "1 0 4\n2 22 7\n"
+
+
+@pytest.mark.parametrize("value,ok", [(-1, False), (11, False), (10, True), (0, True)])
+def test_elements_validated(value, ok):
+    f = gfp.PrimeField(11)
+    if ok:
+        assert f._as_elems([0, value], 1).tolist() == [0, value]
+    else:
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 11\)"):
+            f._as_elems([0, value], 1)

@@ -410,10 +410,17 @@ def test_roundtrip_sim_detects_corruption():
 
     spec = codec.build_code(snc.SncInstance(20, 9, 2))
     assert oracles.roundtrip_sim(spec, 5, seed=5).passed  # caches healthy rows
-    report = oracles.roundtrip_sim(_corrupted(spec), 5, seed=5)
+    assert oracles.check_decodable(spec.graph, spec.expanded).all()
+    bad = _corrupted(spec)
+    report = oracles.roundtrip_sim(bad, 5, seed=5)
     assert not report.passed
     # the corrupted spec builds its own rows and meets the singular window
     assert report.first_failure[2].startswith("decode error: ")
+    # and derives its expanded matrix from the broken encoder, not the cached one
+    broken = spec.air.matrix.copy()
+    broken[0] = 0
+    assert np.array_equal(bad.expanded, broken[np.array(spec.group_of)])
+    assert oracles.check_decodable(bad.graph, bad.expanded).tolist() == [False] * 3 + [True] * 17
 
 
 def test_roundtrip_sim_deterministic():
