@@ -1,9 +1,9 @@
 """Binary m x n matrices whose every n cyclically consecutive rows are independent.
 
-The construction alternates between filling the open block with vertically
-stacked identities (rows) and horizontally stacked identities (columns),
-recursing on the residual block. The division chain driving the recursion
-doubles as a certificate of the block structure.
+The Euclidean division chain of (n, m - n) lays out the blocks: after I_n
+on top, each quotient places that many identities of the next remainder's
+order into the open corner, alternately side by side and stacked, and
+leaves a corner of the following remainder.
 """
 
 from __future__ import annotations
@@ -55,38 +55,27 @@ class AirMatrix:
 
 
 def build_air(m: int, n: int) -> AirMatrix:
-    """Construct the m x n matrix by the alternating identity-stack fill.
+    """Lay out the m x n matrix by its division chain.
 
-    Rows first: with m = q*n + r, the top q*n rows of the open block get q
-    stacked copies of I_n. Columns next: with n = q'*r + r', the left q'*r
-    columns of the remaining r rows get q' side-by-side copies of I_r.
-    Repeat on the r x r' residual until a remainder hits zero. Unfilled
-    cells are zero.
+    I_n fills the top rows; the open corner below it is then (m - n) x n.
+    Step i of the chain puts betas[i] copies of I_s, s = lambdas[i+1], into
+    the open corner: side by side on even steps, stacked on odd steps, so
+    each step leaves a corner of the next remainder. Unfilled cells are zero.
     """
-    if not 1 <= n <= m:
-        raise InvalidShapeError(f"need 1 <= n <= m, got m={m}, n={n}")
+    chain = chain_of(m, n)
     out = np.zeros((m, n), dtype=np.uint8)
     row0 = col0 = 0
-    rows_left, cols_left = m, n
-    while True:
-        q, r = divmod(rows_left, cols_left)
-        out[row0:row0 + q * cols_left, col0:col0 + cols_left] = np.tile(
-            np.eye(cols_left, dtype=np.uint8), (q, 1)
-        )
-        row0 += q * cols_left
-        rows_left = r
-        if r == 0:
-            break
-        q2, r2 = divmod(cols_left, rows_left)
-        out[row0:row0 + rows_left, col0:col0 + q2 * rows_left] = np.tile(
-            np.eye(rows_left, dtype=np.uint8), (1, q2)
-        )
-        col0 += q2 * rows_left
-        cols_left = r2
-        if r2 == 0:
-            break
+    # I_n is step -1: one stacked copy, so stacked steps sit at even j = i + 1
+    for j, (q, s) in enumerate(zip((1, *chain.betas), chain.lambdas)):
+        t = np.arange(q * s)
+        if j % 2:
+            out[row0 + t % s, col0 + t] = 1
+            col0 += q * s
+        else:
+            out[row0 + t, col0 + t % s] = 1
+            row0 += q * s
     out.flags.writeable = False
-    return AirMatrix(m, n, out, chain_of(m, n))
+    return AirMatrix(m, n, out, chain)
 
 
 def first_deficient_window(matrix) -> int | None:

@@ -97,13 +97,10 @@ def _cmd_sweep(args) -> int:
             return 1
         u_values = range(args.u_from, args.u_to + 1)
         k, d = args.k, args.d
-    rows = [snc.SncInstance(k, d, u) for u in u_values]
+    reports = [snc.analyze(snc.SncInstance(k, d, u)) for u in u_values]
     print("K\tD\tU\tbeta\tgamma")
-    for inst in rows:
-        u = inst.u
-        beta = snc.broadcast_rate(inst)
-        gamma = 1 if inst.full_side_info else snc.code_length(inst)
-        print(f"{k}\t{d}\t{u}\t{truncated_rate(beta)}\t{gamma}")
+    for r in reports:
+        print(f"{k}\t{d}\t{r.inst.u}\t{truncated_rate(r.beta)}\t{r.gamma}")
     return 0
 
 

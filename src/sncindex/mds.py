@@ -10,7 +10,8 @@ message; the two schemes use different alphabets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -31,20 +32,30 @@ class DecoderTable:
 
 @dataclass(frozen=True, eq=False)
 class MdsCodeSpec:
+    """The decoder table is derived on first use; a replaced copy derives its own."""
+
     inst: SncInstance
     pf: PrimeField
     n: int
     generator: np.ndarray
     graph: SideInfoGraph
-    _table: list = field(default_factory=list, repr=False)
+
+    @cached_property
+    def _table(self) -> DecoderTable:
+        return _build_table(self)
 
 
 def build_mds(inst: SncInstance) -> MdsCodeSpec:
-    """Generator entry (i, t) is i**t mod p with the 0**0 == 1 convention."""
+    """Generator entry (i, t) is i**t mod p with the 0**0 == 1 convention.
+
+    Column 0 is all ones and column t is column t-1 times i, mod p.
+    """
     k = inst.k
     pf = smallest_prime_field(k)
     n = snc.mds_code_length(inst)
-    gen = np.array([[pow(i, t, pf.p) for t in range(n)] for i in range(k)], dtype=np.int64)
+    gen = np.ones((k, n), dtype=np.int64)
+    for t in range(1, n):
+        gen[:, t] = gen[:, t - 1] * np.arange(k) % pf.p
     gen.flags.writeable = False
     return MdsCodeSpec(inst, pf, n, gen, build_graph(inst))
 
@@ -58,7 +69,12 @@ def mds_encode(spec: MdsCodeSpec, x) -> np.ndarray:
 
 
 def decoder_table(spec: MdsCodeSpec) -> DecoderTable:
-    """Every receiver's Lagrange row and side coefficients, built once per spec.
+    """Every receiver's Lagrange row and side coefficients, built once per spec."""
+    return spec._table
+
+
+def _build_table(spec: MdsCodeSpec) -> DecoderTable:
+    """Build every receiver's decoder in one pass.
 
     rows[k] holds the coefficients, lowest power first, of the polynomial
     L_k that is 1 at k and 0 at k's other unknown points; side[k, j] is
@@ -69,8 +85,6 @@ def decoder_table(spec: MdsCodeSpec) -> DecoderTable:
     the generator then evaluates them at every message index, and the
     value at k is the scale that makes L_k(k) = 1.
     """
-    if spec._table:
-        return spec._table[0]
     k, n, p = spec.inst.k, spec.n, spec.pf.p
     ids = np.arange(k)
     known = np.array(spec.graph.known, dtype=np.intp)
@@ -88,8 +102,7 @@ def decoder_table(spec: MdsCodeSpec) -> DecoderTable:
     rows = (coef * scale % p).T.copy()
     side = np.where(unknown, 0, values * scale[:, None] % p)
     rows.flags.writeable = side.flags.writeable = False
-    spec._table.append(DecoderTable(rows, side, tuple(side[ids[:, None], known].tolist())))
-    return spec._table[0]
+    return DecoderTable(rows, side, tuple(side[ids[:, None], known].tolist()))
 
 
 def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:

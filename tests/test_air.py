@@ -15,7 +15,7 @@ AIR75_ROWS = [
 
 
 def fill_tracking_build(m, n):
-    # instrumented re-run of the alternating fill; counts writes per cell
+    # independent re-run of the fill as a divmod recursion on (m, n); counts writes per cell
     out = np.zeros((m, n), dtype=np.uint8)
     hits = np.zeros((m, n), dtype=np.int64)
     row0 = col0 = 0
@@ -87,7 +87,9 @@ def test_chain_identities_hold():
 
 
 def test_every_cell_filled_exactly_once():
-    for m, n in [(7, 5), (10, 3), (12, 7), (9, 9), (13, 8), (20, 11)]:
+    # every shape with m <= 40, and tall shapes whose chain starts with a zero quotient
+    shapes = [(m, n) for m in range(1, 41) for n in range(1, m + 1)]
+    for m, n in shapes + [(10, 3), (64, 9), (5000, 37)]:
         built = air.build_air(m, n).matrix
         reference, hits = fill_tracking_build(m, n)
         assert (hits == 1).all()

@@ -33,6 +33,12 @@ def test_generator_entries_power_convention():
         [1, 2, 4],
         [1, 3, 4],
     ]
+    # every K <= 40 at the widest n (D = U = 0), and one paper-size K
+    for inst in [*(snc.SncInstance(k, 0, 0) for k in range(2, 41)), snc.SncInstance(827, 1, 0)]:
+        spec = mds.build_mds(inst)
+        p = spec.pf.p
+        want = [[pow(i, t, p) for t in range(spec.n)] for i in range(inst.k)]
+        assert spec.generator.tolist() == want, inst
 
 
 def test_encode_zero_and_known_value():
@@ -114,6 +120,18 @@ def test_decode_matches_batched_product(k, d, u):
         for rec in range(k):
             side = side_of(spec.graph, x[t], rec)
             assert mds.mds_decode(spec, rec, c[t], side) == batch[t, rec]
+
+
+def test_replaced_copy_derives_its_own_table():
+    spec = mds.build_mds(snc.SncInstance(9, 2, 1))
+    table = mds.decoder_table(spec)
+    copy = replace(spec, generator=2 * spec.generator % spec.pf.p)
+    assert mds.decoder_table(copy) is not table
+    assert mds.decoder_table(spec) is table
+    x = np.random.default_rng(43).integers(0, copy.pf.p, size=9)
+    c = mds.mds_encode(copy, x)
+    for rec in range(9):
+        assert mds.mds_decode(copy, rec, c, side_of(copy.graph, x, rec)) == x[rec]
 
 
 def test_decode_clique_case_is_subtraction():
