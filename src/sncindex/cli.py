@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -93,8 +94,9 @@ def _cmd_sweep(args) -> int:
         k, d, u_values = 827, 23, range(1, 11)
     else:
         if args.k is None or args.d is None:
-            print("error: provide --k and --d (or --paper-table)", file=sys.stderr)
-            return 1
+            raise ValueError("provide --k and --d (or --paper-table)")
+        if args.u_from > args.u_to:
+            raise ValueError(f"--u-from must be at most --u-to (got {args.u_from} > {args.u_to})")
         u_values = range(args.u_from, args.u_to + 1)
         k, d = args.k, args.d
     reports = [snc.analyze(snc.SncInstance(k, d, u)) for u in u_values]
@@ -233,7 +235,9 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing keeps no state in it."""
     parser = _Parser(prog="sncindex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -303,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -101,24 +101,53 @@ def _exists_rank_at_most(known, r: int, row0: list[int]) -> bool:
     # answer is the same at every depth that reaches it: the key is the basis.
     dead = set()
 
+    def unit(t: int) -> int:
+        # the residue of e_t: e_t plus row t if t is a pivot
+        return rows.get(t, 0) ^ 1 << t
+
     def residues(i: int) -> tuple[int, list[int]]:
         # row i's options e_i + subset(known[i]) reduce to off + span(gens);
-        # red(e_t) is e_t plus row t if t is a pivot; off == 0 iff 0 is among them
-        span = gf2.Basis(rows.get(t, 0) ^ 1 << t for t in known[i])
-        return span.reduce(rows.get(i, 0) ^ 1 << i), list(span.pivots.values())
+        # off == 0 iff 0 is among them
+        span = gf2.Basis(map(unit, known[i]))
+        return span.reduce(unit(i)), list(span.pivots.values())
+
+    def last_rank_fits(i: int, off: int, gens: list[int]) -> bool:
+        # whether some red in off + span(gens), taken as the last rank, lets
+        # every later row j fit: unit(j) in S_j, or red in unit(j) + S_j, with
+        # S_j = span{unit(t) : t in known[j]}. Gens are tagged g << k | g, so
+        # eliminating S_j and them from (unit(j) + off) << k leaves a bit above
+        # k (no red fits) or the gens that move off onto a solution; the
+        # tagged rows left without such bits span the gens still free.
+        for j in range(i + 1, k):
+            span = gf2.Basis(unit(t) << k for t in known[j])
+            want = unit(j)
+            if span.reduce(want << k) == 0:
+                continue
+            for g in gens:
+                span.insert(g << k | g)
+            rest = span.reduce((want ^ off) << k)
+            if rest >> k:
+                return False
+            off ^= rest
+            gens = [v for v in span.pivots.values() if v >> k == 0]
+        return True
 
     def go(i: int, rank: int) -> bool:
         if i == k:
             return True
-        if rank == r:
-            # at full rank only zero residues extend the prefix, and the basis stays fixed
-            return all(residues(j)[0] == 0 for j in range(i, k))
         key = 0  # the rows by pivot, k bits each
         for row in sorted(rows.values()):
             key = key << k | row
         if key in dead:
             return False
-        if i == 0:
+        if rank == r - 1:
+            # a nonzero residue takes the last rank, and one system per
+            # affine space decides all of them; only the zero residue recurses
+            spaces = [(red, []) for red in row0] if i == 0 else [residues(i)]
+            if any(last_rank_fits(i, off, gens) for off, gens in spaces):
+                return True
+            options = [0] if spaces[0][0] == 0 else []
+        elif i == 0:
             options = row0  # the basis is empty, so each option is its own residue
         else:
             off, gens = residues(i)
@@ -164,12 +193,18 @@ def brute_minrank2(
     rows before it, since options in one coset lead to the same subtree.
     The span is a reduced echelon basis, so residues are canonical and
     each coset is searched once; row i's residues form an affine space
-    built from |known[i]| + 1 unit-vector reductions. A prefix of rank
-    above r is pruned, at rank r each remaining row needs a zero residue,
-    and every basis below rank r that the search fails from is recorded
-    and not searched again for that r. The first r admitting a complete
-    assignment is the minimum. Passing early_stop starts at that target,
-    which is exact whenever early_stop is a valid lower bound.
+    built from |known[i]| + 1 unit-vector reductions. The last rank is
+    not branched on: after a nonzero residue red at rank r, a later row j
+    fits iff its own residues reach 0, that is iff red(e_j) lies in S_j +
+    span{red}, S_j the span of the residues of e_t for t in known[j]. So
+    row j already fits, or red must lie in red(e_j) + S_j. Over the
+    affine space of row i's residues that is one GF(2) system in the
+    coefficients, solved row by row up to the first row it cannot meet;
+    only the zero residue recurses at rank r - 1. Every basis below rank
+    r that the search fails from is recorded and not searched again for
+    that r. The first r admitting a complete assignment is the minimum.
+    Passing early_stop starts at that target, which is exact whenever
+    early_stop is a valid lower bound.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1 (got {jobs})")

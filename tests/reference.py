@@ -122,3 +122,59 @@ def mds_table_certified(spec: mds.MdsCodeSpec, table: mds.DecoderTable) -> bool:
         known[rec, list(js)] = True
     exact = (table.rows @ spec.generator.T - table.side) % p == np.eye(k, dtype=np.int64)
     return bool(exact.all()) and not table.side[~known].any()
+
+
+def exists_rank_at_most(known, r: int, row0: list[int]) -> bool:
+    """Whether some fitting matrix with row 0 in row0 has GF(2) rank <= r.
+
+    The coset search that oracles.brute_minrank2 ran before it decided the
+    last rank by one linear system: rows are picked in order by their
+    residue modulo a reduced echelon basis of the rows before them, every
+    option of the row that reaches rank r is searched, and at rank r each
+    remaining row needs a zero residue. Failing bases below rank r are
+    recorded and not searched again.
+    """
+    k = len(known)
+    rows: dict[int, int] = {}
+    dead = set()
+
+    def residues(i: int) -> tuple[int, list[int]]:
+        span = gf2.Basis(rows.get(t, 0) ^ 1 << t for t in known[i])
+        return span.reduce(rows.get(i, 0) ^ 1 << i), list(span.pivots.values())
+
+    def go(i: int, rank: int) -> bool:
+        if i == k:
+            return True
+        if rank == r:
+            return all(residues(j)[0] == 0 for j in range(i, k))
+        key = 0
+        for row in sorted(rows.values()):
+            key = key << k | row
+        if key in dead:
+            return False
+        if i == 0:
+            options = row0
+        else:
+            off, gens = residues(i)
+            options = [off]
+            for g in gens:
+                options += [v ^ g for v in options]
+        for red in options:
+            if red == 0:
+                found = go(i + 1, rank)
+            else:
+                p = red.bit_length() - 1
+                touched = [q for q, row in rows.items() if row >> p & 1]
+                for q in touched:
+                    rows[q] ^= red
+                rows[p] = red
+                found = go(i + 1, rank + 1)
+                del rows[p]
+                for q in touched:
+                    rows[q] ^= red
+            if found:
+                return True
+        dead.add(key)
+        return False
+
+    return go(0, 0)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,13 @@ def test_sweep_custom_range(capsys):
     lines = out.splitlines()
     assert lines[0] == "K\tD\tU\tbeta\tgamma"
     assert lines[1] == "20\t9\t2\t4.3\t5"
+
+
+def test_sweep_rejects_reversed_range(capsys):
+    code, out, err = run(capsys, "sweep", "--k", "10", "--d", "3", "--u-from", "2", "--u-to", "1")
+    assert (code, out, err) == (1, "", "error: --u-from must be at most --u-to (got 2 > 1)\n")
+    code, out, err = run(capsys, "sweep", "--k", "10", "--d", "3", "--u-from", "2", "--u-to", "2")
+    assert (code, out, err) == (0, "K\tD\tU\tbeta\tgamma\n10\t3\t2\t3.0\t4\n", "")
 
 
 def test_analyze_tsv(capsys):
@@ -248,6 +258,30 @@ def test_commands_are_deterministic(capsys):
     first = run(capsys, "analyze", "--k", "20", "--d", "9", "--u", "2")
     second = run(capsys, "analyze", "--k", "20", "--d", "9", "--u", "2")
     assert first == second
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys):
+    # main reuses one parser; each call must still behave as in a new process
+    calls = [
+        ("verify", "--k", "7", "--d", "3", "--u", "1", "--trials", "20", "--with-oracles"),
+        ("verify", "--k", "7", "--d", "3", "--u", "1", "--trials", "20"),
+        ("oracle", "minrank", "--k", "7", "--d", "3"),  # usage error: --u missing
+        ("analyze", "--k", "7", "--d", "3", "--u", "1"),
+        ("sweep", "--k", "10", "--d", "3", "--u-from", "2", "--u-to", "1"),
+        ("oracle", "minrank", "--k", "7", "--d", "2", "--u", "1", "--jobs", "1"),
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    script = "import sys; from sncindex.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh = [subprocess.Popen([sys.executable, "-c", script, *argv], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for argv in calls]
+    for argv, proc in zip(calls, fresh):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        out, err = proc.communicate()
+        assert (code, got.out, got.err) == (proc.returncode, out, err), argv
 
 
 @pytest.mark.parametrize("argv,target,exc", [

@@ -8,7 +8,7 @@ import pytest
 
 from sncindex import codec, gf2, oracles, snc
 
-from reference import in_span
+from reference import exists_rank_at_most, in_span
 
 
 def all_instances(k_max, skip_full=False):
@@ -301,6 +301,35 @@ def test_brute_minrank_matches_enumeration_on_random_graphs(seed):
     for graph in random_graphs(seed):
         assert oracles.brute_minrank2(graph, jobs=1) == fitting_minrank_by_enumeration(graph)
         assert_rank_search_matches_enumeration(graph)
+
+
+def assert_rank_search_matches_reference(graph):
+    # every target rank and every --jobs slice of row 0's options, against
+    # the coset search that enumerates every option of the last rank
+    row0 = oracles._row0_options(graph.known)
+    for jobs in [1, 2, 3]:
+        for chunk in (row0[i::jobs] for i in range(jobs) if row0[i::jobs]):
+            for r in range(1, graph.k + 1):
+                want = exists_rank_at_most(graph.known, r, chunk)
+                assert oracles._exists_rank_at_most(graph.known, r, chunk) == want, (graph.known, r)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_search_matches_reference_on_random_graphs(seed):
+    # 100 graphs a seed, K 3..9 with up to 14 free positions
+    rng = random.Random(f"last-rank/{seed}")
+    for _ in range(100):
+        k = rng.randint(3, 9)
+        assert_rank_search_matches_reference(random_graph(rng, k, rng.randint(0, min(14, k * (k - 1)))))
+
+
+def test_rank_search_matches_reference_on_circulants():
+    count = 0
+    for inst in all_instances(20, skip_full=True):
+        if inst.k * (inst.d + inst.u) <= 20:
+            assert_rank_search_matches_reference(snc.build_graph(inst))
+            count += 1
+    assert count == 55
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
