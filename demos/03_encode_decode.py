@@ -38,7 +38,7 @@ for start, end, symbols in codec.extract_plan(spec).table_rows():
     print(f"  {label:10s} {', '.join(f'c{t}' for t in symbols)}")
 
 # receivers with full side information need a single parity symbol
-tiny = codec.single_sum_code(snc.SncInstance(5, 3, 1))
+tiny = codec.build_code(snc.SncInstance(5, 3, 1))
 x5 = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
 c5 = codec.encode(tiny, x5)
 print("\nsingle-sum code for (5,3,1): c =", gf2.format_bits(c5))

@@ -18,7 +18,6 @@ from .codec import (
     encode,
     extend,
     extract_plan,
-    single_sum_code,
 )
 from .mds import LengthComparison, MdsCodeSpec, build_mds, compare_lengths, mds_decode, mds_encode
 from .oracles import (

@@ -91,13 +91,16 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.paper_table:
+        if (args.k, args.d, args.u_from, args.u_to) != (None,) * 4:
+            raise ValueError("--paper-table takes no --k, --d, --u-from or --u-to")
         k, d, u_values = 827, 23, range(1, 11)
     else:
         if args.k is None or args.d is None:
             raise ValueError("provide --k and --d (or --paper-table)")
-        if args.u_from > args.u_to:
-            raise ValueError(f"--u-from must be at most --u-to (got {args.u_from} > {args.u_to})")
-        u_values = range(args.u_from, args.u_to + 1)
+        u_from, u_to = args.u_from or 0, args.u_to or 0
+        if u_from > u_to:
+            raise ValueError(f"--u-from must be at most --u-to (got {u_from} > {u_to})")
+        u_values = range(u_from, u_to + 1)
         k, d = args.k, args.d
     reports = [snc.analyze(snc.SncInstance(k, d, u)) for u in u_values]
     print("K\tD\tU\tbeta\tgamma")
@@ -110,28 +113,26 @@ def _cmd_encode(args) -> int:
     inst = _instance(args)
     x = gf2.parse_bits(args.messages)
     if x.shape[0] != inst.k:
-        print(f"error: expected {inst.k} message bits", file=sys.stderr)
-        return 1
-    spec = codec.code_for(inst)
+        raise ValueError(f"expected {inst.k} message bits")
+    spec = codec.build_code(inst)
     print(gf2.format_bits(codec.encode(spec, x)))
     return 0
 
 
 def _cmd_decode(args) -> int:
     inst = _instance(args)
-    spec = codec.code_for(inst)
+    spec = codec.build_code(inst)
     c = gf2.parse_bits(args.code)
     raw = args.sideinfo.strip()
     if len(raw) != inst.k or any(ch not in "01?" for ch in raw):
-        print(f"error: --sideinfo must be {inst.k} characters of 0/1/?", file=sys.stderr)
-        return 1
+        raise ValueError(f"--sideinfo must be {inst.k} characters of 0/1/?")
     side = {i: int(ch) for i, ch in enumerate(raw) if ch != "?"}
     print(codec.decode(spec, args.receiver, c, side))
     return 0
 
 
 def _cmd_plan(args) -> int:
-    spec = codec.code_for(_instance(args))
+    spec = codec.build_code(_instance(args))
     plan = codec.extract_plan(spec)
     print("receivers\tsymbols")
     for start, end, symbols in plan.table_rows():
@@ -151,7 +152,7 @@ def _cmd_verify(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative (got {args.trials})")
     inst = _instance(args)
-    spec = codec.code_for(inst)
+    spec = codec.build_code(inst)
     if args.corrupt:
         spec = _corrupted(spec)
     status = 0
@@ -206,7 +207,7 @@ def _cmd_oracle(args) -> int:
     inst = _instance(args)
     graph = snc.build_graph(inst)
     if args.which == "decodable":
-        decodable = oracles.check_decodable(graph, codec.code_for(inst).expanded)
+        decodable = oracles.check_decodable(graph, codec.build_code(inst).expanded)
         ok = bool(decodable.all())
         fields = f"pass={int(decodable.sum())}/{inst.k}"
     else:
@@ -223,11 +224,7 @@ def _cmd_baseline(args) -> int:
         print(",".join(str(int(v)) for v in c))
         return 0
     if args.compare:
-        try:
-            cmp = mds.compare_lengths(inst)
-        except snc.FullSideInfo as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        cmp = mds.compare_lengths(inst)
         print("gamma\tmds_length\twinner\tconjecture_value")
         print(f"{cmp.gamma}\t{cmp.mds_length}\t{cmp.winner}\t{cmp.conjecture_value}")
         return 0
@@ -256,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="rate table over a range of U values")
     p.add_argument("--k", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--u-from", type=int, default=0)
-    p.add_argument("--u-to", type=int, default=0)
+    p.add_argument("--u-from", type=int)  # None when not given, which --paper-table checks
+    p.add_argument("--u-to", type=int)
     p.add_argument("--paper-table", action="store_true",
                    help="preset K=827, D=23, U=1..10")
     p.set_defaults(func=_cmd_sweep)

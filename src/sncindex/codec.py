@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gf2
 from .air import AirMatrix, build_air
-from .snc import FullSideInfo, SideInfoGraph, SncInstance, build_graph
+from .snc import SideInfoGraph, SncInstance, build_graph
 
 
 class LengthMismatchError(ValueError):
@@ -103,24 +103,16 @@ def _code(inst: SncInstance, groups: tuple[tuple[int, ...], ...], d1: int) -> Co
 
 
 def build_code(inst: SncInstance) -> CodeSpec:
-    """The general construction: groups of U+1; length equals the code_length formula."""
-    if inst.full_side_info:
-        raise FullSideInfo("use single_sum_code when U + D = K - 1")
+    """Groups of U+1, or one group of all K at U + D = K - 1; length is snc.code_length."""
     k, size = inst.k, inst.u + 1
+    if inst.full_side_info:
+        return _code(inst, (tuple(range(k)),), 0)
     groups = tuple(tuple(range(s, min(s + size, k))) for s in range(0, k, size))
     return _code(inst, groups, (inst.d - inst.u) // size)
 
 
-def single_sum_code(inst: SncInstance) -> CodeSpec:
-    """One code symbol, the parity of all K messages (U + D = K - 1 only)."""
-    if not inst.full_side_info:
-        raise ValueError("single_sum_code requires U + D = K - 1")
-    return _code(inst, (tuple(range(inst.k)),), 0)
-
-
-def code_for(inst: SncInstance) -> CodeSpec:
-    """Whichever of the two constructions applies to the instance."""
-    return single_sum_code(inst) if inst.full_side_info else build_code(inst)
+#: Second name of build_code, kept for callers written against it.
+code_for = build_code
 
 
 def extend(spec: CodeSpec, x) -> np.ndarray:

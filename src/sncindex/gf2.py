@@ -162,7 +162,7 @@ def vec_mat(x, m) -> np.ndarray:
 
 
 def format_bits(v) -> str:
-    return "".join("1" if b else "0" for b in as_bits(v, ndim=1))
+    return (as_bits(v, ndim=1) + ord("0")).tobytes().decode()
 
 
 def parse_bits(s: str) -> np.ndarray:
@@ -174,6 +174,6 @@ def parse_bits(s: str) -> np.ndarray:
 
 def format_matrix(m) -> str:
     """Text form: one row per line, '0'/'1' characters, no separators."""
-    arr = as_bits(m, ndim=2)
-    return "".join(format_bits(row) + "\n" for row in arr)
+    chars = as_bits(m, ndim=2) + ord("0")
+    return np.pad(chars, ((0, 0), (0, 1)), constant_values=ord("\n")).tobytes().decode()
 

@@ -132,7 +132,11 @@ class LengthComparison:
 
 
 def compare_lengths(inst: SncInstance) -> LengthComparison:
-    """Which construction is shorter, in symbols per message; ties go to air."""
+    """Which construction is shorter, in symbols per message; ties go to air.
+
+    Not defined at U + D = K - 1, where the single parity serves (FullSideInfo)."""
+    if inst.full_side_info:
+        raise snc.FullSideInfo("U + D = K - 1 is served by the single-sum code")
     gamma = snc.code_length(inst)
     mds_len = snc.mds_code_length(inst)
     winner = "air" if gamma <= mds_len else "mds"

@@ -8,7 +8,6 @@ rest of the package can be checked against them.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -219,9 +218,13 @@ def brute_minrank2(
     start = max(1, early_stop) if early_stop is not None else 1
     jobs = min(jobs, os.cpu_count() or 1)
     chunks = [row0[i::jobs] for i in range(jobs) if row0[i::jobs]]
+    pool = nullcontext()
+    if len(chunks) > 1:  # imported here: it loads multiprocessing, which one job never uses
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(len(chunks))
     # one pool serves every target rank
-    with ProcessPoolExecutor(len(chunks)) if len(chunks) > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
+    with pool as executor:
+        run = map if executor is None else executor.map
         for r in range(start, graph.k + 1):
             if any(run(_minrank_worker, [(graph.known, r, ch) for ch in chunks])):
                 return r

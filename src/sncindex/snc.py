@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class FullSideInfo(Exception):
+class FullSideInfo(ValueError):
     """U + D = K - 1: every receiver knows all other messages.
 
-    The general code-length formula does not apply; a single parity of all
-    K messages is used instead (see codec.single_sum_code).
+    The constructed code there is a single parity of all K messages, and
+    the partial-clique comparison (mds.compare_lengths) is not defined.
     """
 
 
@@ -112,9 +112,11 @@ def mais_witness(inst: SncInstance) -> tuple[int, ...]:
 
 
 def code_length(inst: SncInstance) -> int:
-    """Length ceil(K/(U+1)) - floor((D-U)/(U+1)) of the constructed scalar code."""
+    """Length ceil(K/(U+1)) - floor((D-U)/(U+1)) of the constructed scalar code.
+
+    At U + D = K - 1 the code is one parity of all K messages: length 1."""
     if inst.full_side_info:
-        raise FullSideInfo("U + D = K - 1 is served by the single-sum code")
+        return 1
     k, d, u = inst.k, inst.d, inst.u
     return -(-k // (u + 1)) - (d - u) // (u + 1)
 
@@ -153,8 +155,6 @@ def minrank_status(inst: SncInstance) -> MinrankStatus:
     The upper bound takes the better of the two constructions; it is never
     asserted to be tight outside the proven cases.
     """
-    if inst.full_side_info:
-        return MinrankStatus(1, 1)
     beta = broadcast_rate(inst)
     gamma = code_length(inst)
     if optimality_condition(inst):
@@ -188,8 +188,7 @@ def conjecture_value(inst: SncInstance) -> int:
     """min(constructed length, MDS length): the shorter of the two
     constructed codes. An upper bound on the minrank, not always equal to
     it: at (10, 4, 2) it is 4, and a fitting matrix of rank 3 exists."""
-    gamma = 1 if inst.full_side_info else code_length(inst)
-    return min(gamma, mds_code_length(inst))
+    return min(code_length(inst), mds_code_length(inst))
 
 
 @dataclass(frozen=True)
@@ -209,13 +208,12 @@ class AnalysisReport:
 
 
 def analyze(inst: SncInstance) -> AnalysisReport:
-    gamma = 1 if inst.full_side_info else code_length(inst)
     return AnalysisReport(
         inst=inst,
         beta=broadcast_rate(inst),
         capacity=capacity(inst),
         mais=mais(inst),
-        gamma=gamma,
+        gamma=code_length(inst),
         optimality=optimality_condition(inst),
         minrank=minrank_status(inst),
         kappa=partial_clique_kappa(inst),

@@ -79,6 +79,14 @@ def test_sweep_rejects_reversed_range(capsys):
     assert (code, out, err) == (0, "K\tD\tU\tbeta\tgamma\n10\t3\t2\t3.0\t4\n", "")
 
 
+@pytest.mark.parametrize("flags", [("--k", "5"), ("--d", "3"), ("--u-from", "0"),
+                                   ("--u-to", "3"), ("--k", "827", "--d", "23")], ids=" ".join)
+def test_sweep_paper_table_rejects_instance_flags(capsys, flags):
+    code, out, err = run(capsys, "sweep", "--paper-table", *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: --paper-table takes no --k, --d, --u-from or --u-to\n"
+
+
 def test_analyze_tsv(capsys):
     code, out, _ = run(capsys, "analyze", "--k", "17", "--d", "6", "--u", "2")
     assert code == 0
@@ -129,6 +137,18 @@ def test_decode_rejects_bad_mask(capsys):
         "--receiver", "0", "--code", "100", "--sideinfo", "??0?",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("encode", "--k", "5", "--d", "2", "--u", "1", "--messages", "101"),
+     "error: expected 5 message bits\n"),
+    (("decode", "--k", "4", "--d", "1", "--u", "0", "--receiver", "0", "--code", "100",
+      "--sideinfo", "?1x?"), "error: --sideinfo must be 4 characters of 0/1/?\n"),
+    (("baseline", "mds", "--k", "5", "--d", "3", "--u", "1", "--compare"),
+     "error: U + D = K - 1 is served by the single-sum code\n"),
+], ids=["encode-length", "decode-sideinfo", "compare-full-side-info"])
+def test_validation_errors_exit_1(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
 
 
 def test_plan_table(capsys):
@@ -288,7 +308,7 @@ def test_main_calls_in_one_process_match_fresh_processes(capsys):
     (("decode", "--k", "20", "--d", "9", "--u", "2", "--receiver", "4", "--code", "10000",
       "--sideinfo", "??11?100101101??????"), "decode", codec.SystemSingularError),
     (("plan", "--k", "20", "--d", "9", "--u", "2"), "_window_inverses", codec.SystemSingularError),
-    (("verify", "--k", "20", "--d", "9", "--u", "2"), "code_for", codec.SystemSingularError),
+    (("verify", "--k", "20", "--d", "9", "--u", "2"), "build_code", codec.SystemSingularError),
 ])
 def test_construction_faults_exit_2(capsys, monkeypatch, argv, target, exc):
     def fault(*args, **kwargs):

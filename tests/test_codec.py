@@ -57,9 +57,10 @@ def test_expanded_replicates_rows(spec20):
         assert (spec20.expanded[k] == spec20.air.matrix[spec20.group_of[k]]).all()
 
 
-def test_build_rejects_full_side_info():
-    with pytest.raises(snc.FullSideInfo):
-        codec.build_code(snc.SncInstance(5, 3, 1))
+def test_build_full_side_info_is_one_group():
+    spec = codec.build_code(snc.SncInstance(5, 3, 1))
+    assert spec.groups == ((0, 1, 2, 3, 4),)
+    assert (spec.k1, spec.d1, spec.n) == (1, 0, 1)
 
 
 def test_extend_examples(spec20):
@@ -137,16 +138,16 @@ def test_decode_side_info_mismatch(spec20):
 
 
 def test_single_sum_code():
-    spec = codec.single_sum_code(snc.SncInstance(5, 3, 1))
+    spec = codec.build_code(snc.SncInstance(5, 3, 1))
     assert (spec.k1, spec.d1, spec.n) == (1, 0, 1)
     assert spec.expanded.tolist() == [[1]] * 5
     x = np.array([1, 1, 0, 1, 0], dtype=np.uint8)
     assert codec.encode(spec, x).tolist() == [1]
     for k in range(5):
         assert codec.decode(spec, k, [int(x.sum() % 2)], side_of(spec.graph, x, k)) == x[k]
-    tiny = codec.single_sum_code(snc.SncInstance(2, 1, 0))
+    tiny = codec.build_code(snc.SncInstance(2, 1, 0))
     assert codec.encode(tiny, [1, 1]).tolist() == [0]
-    mid = codec.single_sum_code(snc.SncInstance(4, 2, 1))
+    mid = codec.build_code(snc.SncInstance(4, 2, 1))
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.integers(0, 2, size=4, dtype=np.uint8)
@@ -156,8 +157,8 @@ def test_single_sum_code():
 
 
 def test_code_for_dispatch():
-    assert codec.code_for(snc.SncInstance(5, 3, 1)).n == 1
-    assert codec.code_for(K20).n == 5
+    # a second name, so a tracer wrapping build_code sees calls through either
+    assert codec.code_for is codec.build_code
 
 
 def test_expanded_encodes_basis_vectors(spec20):
@@ -225,7 +226,7 @@ def test_plan_soundness_assorted():
 
 
 def test_plan_single_sum():
-    spec = codec.single_sum_code(snc.SncInstance(5, 3, 1))
+    spec = codec.build_code(snc.SncInstance(5, 3, 1))
     plan = codec.extract_plan(spec)
     assert plan.table_rows() == [(0, 4, (0,))]
 

@@ -1,6 +1,9 @@
+import concurrent.futures
 import math
 import os
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -226,6 +229,15 @@ def test_brute_minrank_jobs_partition_agrees():
     assert oracles.brute_minrank2(graph, jobs=2) == oracles.brute_minrank2(graph)
 
 
+def test_import_loads_no_process_pool():
+    # the pool module loads multiprocessing; only brute_minrank2 with jobs > 1 uses it
+    probe = "import sys, sncindex; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_brute_minrank_jobs_clamped_to_cpu_count(monkeypatch):
     started = []
 
@@ -243,7 +255,7 @@ def test_brute_minrank_jobs_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, items):
             return [True]
 
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     graph = snc.build_graph(snc.SncInstance(12, 6, 2))  # 2^8 candidates for row 0
     assert oracles.brute_minrank2(graph, cap=10**3, jobs=10**6) == 1
     assert started and max(started) <= (os.cpu_count() or 1)
@@ -268,7 +280,7 @@ def test_brute_minrank_opens_one_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(oracles, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(oracles.os, "cpu_count", lambda: 2)
     assert oracles.brute_minrank2(graph, jobs=2) == serial
     assert serial > 1  # several target ranks were tried
@@ -355,7 +367,7 @@ def test_brute_minrank_cap():
 
 def test_minrank_bracketed_by_mais_and_constructions():
     # pure search (no early stop) on the small instances
-    for inst in all_instances(9, skip_full=True):
+    for inst in all_instances(9):
         if inst.k * (inst.u + inst.d) > oracles.MINRANK_CAP:
             continue
         graph = snc.build_graph(inst)
@@ -430,7 +442,7 @@ def test_roundtrip_sim_passes():
 
 
 def test_roundtrip_sim_single_sum():
-    spec = codec.single_sum_code(snc.SncInstance(5, 3, 1))
+    spec = codec.build_code(snc.SncInstance(5, 3, 1))
     assert oracles.roundtrip_sim(spec, 10, seed=5).passed
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sncindex import snc
+from sncindex import codec, mds, snc
 
 
 def kahn_acyclic(edges, vertices):
@@ -25,14 +25,11 @@ def kahn_acyclic(edges, vertices):
     return seen == len(vs)
 
 
-def all_instances(k_max, skip_full=False):
+def all_instances(k_max):
     for k in range(2, k_max + 1):
         for d in range(k):
             for u in range(min(d, k - 1 - d) + 1):
-                inst = snc.SncInstance(k, d, u)
-                if skip_full and inst.full_side_info:
-                    continue
-                yield inst
+                yield snc.SncInstance(k, d, u)
 
 
 def test_validation_messages_name_the_rule():
@@ -102,9 +99,23 @@ def test_code_length_examples():
         assert snc.code_length(snc.SncInstance(k, d, 0)) == k - d
 
 
-def test_code_length_full_side_info_raises():
-    with pytest.raises(snc.FullSideInfo):
-        snc.code_length(snc.SncInstance(5, 3, 1))
+def test_code_length_full_side_info_is_one():
+    assert snc.code_length(snc.SncInstance(5, 3, 1)) == 1
+
+
+def test_full_side_info_values_are_one():
+    # U + D = K - 1: the code is one parity, and no MDS comparison is made
+    for k in range(2, 61):
+        for u in range((k - 1) // 2 + 1):
+            inst = snc.SncInstance(k, k - 1 - u, u)
+            status = snc.minrank_status(inst)
+            lengths = (codec.build_code(inst).n, snc.code_length(inst), snc.analyze(inst).gamma,
+                       status.lo, status.hi, snc.conjecture_value(inst))
+            assert lengths == (1,) * 6, inst
+            assert snc.length_slack(inst) == 0
+            with pytest.raises(snc.FullSideInfo) as exc:
+                mds.compare_lengths(inst)
+            assert isinstance(exc.value, ValueError)
 
 
 def test_optimality_condition_examples():
@@ -182,7 +193,7 @@ def test_graph_regular_out_degree():
 
 def test_formula_ordering_sweep():
     # mais <= beta <= gamma < beta + 2, exact rational comparisons
-    for inst in all_instances(60, skip_full=True):
+    for inst in all_instances(60):
         beta = snc.broadcast_rate(inst)
         gamma = snc.code_length(inst)
         assert snc.mais(inst) <= beta <= gamma
