@@ -32,5 +32,5 @@ print("all receivers decoded correctly:", ok)
 print("\nlength comparison (symbols per message):")
 print("K\tD\tU\tgamma\tmds\twinner\tshorter")
 for k, d, u in [(20, 9, 2), (10, 2, 1), (6, 2, 2), (10, 4, 2), (30, 4, 1)]:
-    cmp = mds.compare_lengths(snc.SncInstance(k, d, u))
-    print(f"{k}\t{d}\t{u}\t{cmp.gamma}\t{cmp.mds_length}\t{cmp.winner}\t{cmp.conjecture_value}")
+    r = snc.analyze(snc.SncInstance(k, d, u))
+    print(f"{k}\t{d}\t{u}\t{r.gamma}\t{r.mds_length}\t{r.winner}\t{r.conjecture_value}")

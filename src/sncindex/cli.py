@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -61,21 +60,14 @@ def _cmd_air(args) -> int:
 
 
 def _report_fields(report: snc.AnalysisReport) -> dict:
+    """K, D, U, then every report field in declaration order; ints and bools
+    stay as they are for --json, and every other value becomes its str."""
     inst = report.inst
-    return {
-        "K": inst.k,
-        "D": inst.d,
-        "U": inst.u,
-        "beta": str(report.beta),
-        "capacity": str(report.capacity),
-        "mais": report.mais,
-        "gamma": report.gamma,
-        "optimality": report.optimality,
-        "minrank": str(report.minrank),
-        "kappa": report.kappa,
-        "mds_length": report.mds_length,
-        "conjecture_value": report.conjecture_value,
-    }
+    fields = {"K": inst.k, "D": inst.d, "U": inst.u}
+    for f in dataclasses.fields(report)[1:]:  # every field after inst
+        value = getattr(report, f.name)
+        fields[f.name] = value if isinstance(value, int) else str(value)
+    return fields
 
 
 def _cmd_analyze(args) -> int:
@@ -196,10 +188,9 @@ def _oracle_check(which: str, inst, graph, cap=None, jobs=1) -> tuple[bool, str]
         brute, _ = oracles.brute_mais(graph, cap=oracles.MAIS_CAP if cap is None else cap)
         formula = snc.mais(inst)
         return brute == formula, f"formula={formula}\tbrute={brute}"
-    stop = max(snc.mais(inst), math.ceil(snc.broadcast_rate(inst)))
-    cap = oracles.MINRANK_CAP if cap is None else cap
-    brute = oracles.brute_minrank2(graph, early_stop=stop, cap=cap, jobs=jobs)
     expected = snc.minrank_status(inst)
+    cap = oracles.MINRANK_CAP if cap is None else cap
+    brute = oracles.brute_minrank2(graph, early_stop=expected.lo, cap=cap, jobs=jobs)
     return expected.lo <= brute <= expected.hi, f"brute={brute}\texpected={expected}"
 
 
@@ -219,14 +210,14 @@ def _cmd_oracle(args) -> int:
 def _cmd_baseline(args) -> int:
     inst = _instance(args)
     if args.encode is not None:
-        x = np.array([int(tok) for tok in args.encode.split(",")], dtype=np.int64)
+        x = [int(tok) for tok in args.encode.split(",")]
         c = mds.mds_encode(mds.build_mds(inst), x)
         print(",".join(str(int(v)) for v in c))
         return 0
     if args.compare:
-        cmp = mds.compare_lengths(inst)
+        r = snc.analyze(inst)
         print("gamma\tmds_length\twinner\tconjecture_value")
-        print(f"{cmp.gamma}\t{cmp.mds_length}\t{cmp.winner}\t{cmp.conjecture_value}")
+        print(f"{r.gamma}\t{r.mds_length}\t{r.winner}\t{r.conjecture_value}")
         return 0
     sys.stdout.write(gfp.format_matrix(mds.build_mds(inst).generator))
     return 0

@@ -44,7 +44,10 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def _as_elems(self, a, ndim) -> np.ndarray:
-        arr = np.asarray(a, dtype=np.int64)
+        try:
+            arr = np.asarray(a, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"entries must lie in [0, {self.p})") from None
         if arr.ndim != ndim:
             raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
         # one reduction: viewed unsigned, a negative entry is at least p as well

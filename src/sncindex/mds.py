@@ -4,8 +4,6 @@ Each receiver misses exactly K-D-U messages, so cancelling the known ones
 leaves a square Vandermonde system on distinct points, which is always
 invertible; the inverse row that yields x_k is the coefficient vector of
 the Lagrange polynomial that is 1 at k and 0 at the other unknown points.
-Lengths are compared against the main construction in symbols per
-message; the two schemes use different alphabets.
 """
 
 from __future__ import annotations
@@ -112,7 +110,10 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     """
     if not 0 <= k < spec.inst.k:
         raise ValueError(f"receiver index {k} out of range")
-    cc = np.asarray(c, dtype=np.int64)
+    try:
+        cc = np.asarray(c, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("codeword symbols must fit in 64 bits") from None
     if cc.shape != (spec.n,):
         raise ValueError(f"expected a codeword of {spec.n} symbols")
     known = spec.graph.known[k]
@@ -122,22 +123,3 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     known_part = sum(map(mul, table.known_side[k], map(side.__getitem__, known)))
     return int((int(table.rows[k].dot(cc)) - known_part) % spec.pf.p)
 
-
-@dataclass(frozen=True)
-class LengthComparison:
-    gamma: int
-    mds_length: int
-    winner: str
-    conjecture_value: int
-
-
-def compare_lengths(inst: SncInstance) -> LengthComparison:
-    """Which construction is shorter, in symbols per message; ties go to air.
-
-    Not defined at U + D = K - 1, where the single parity serves (FullSideInfo)."""
-    if inst.full_side_info:
-        raise snc.FullSideInfo("U + D = K - 1 is served by the single-sum code")
-    gamma = snc.code_length(inst)
-    mds_len = snc.mds_code_length(inst)
-    winner = "air" if gamma <= mds_len else "mds"
-    return LengthComparison(gamma, mds_len, winner, min(gamma, mds_len))

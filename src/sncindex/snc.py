@@ -15,14 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class FullSideInfo(ValueError):
-    """U + D = K - 1: every receiver knows all other messages.
-
-    The constructed code there is a single parity of all K messages, and
-    the partial-clique comparison (mds.compare_lengths) is not defined.
-    """
-
-
 @dataclass(frozen=True)
 class SncInstance:
     """Validated (K, D, U) triple."""
@@ -152,18 +144,14 @@ class MinrankStatus:
 def minrank_status(inst: SncInstance) -> MinrankStatus:
     """Exact minrank where provable, otherwise the best known bounds.
 
-    The upper bound takes the better of the two constructions; it is never
-    asserted to be tight outside the proven cases.
+    The bounds are ceil(beta) and conjecture_value, the shorter of the two
+    constructions. They meet at gamma where optimality_condition proves
+    it; elsewhere the upper bound is never asserted to be tight.
     """
-    beta = broadcast_rate(inst)
-    gamma = code_length(inst)
-    if optimality_condition(inst):
-        if gamma != math.ceil(beta):
-            raise RuntimeError("optimality condition held but gamma != ceil(beta)")
-        return MinrankStatus(gamma, gamma)
-    lo = math.ceil(beta)
-    hi = min(gamma, inst.k - inst.d - inst.u)
-    return MinrankStatus(lo, hi)
+    lo = math.ceil(broadcast_rate(inst))
+    if optimality_condition(inst) and code_length(inst) != lo:
+        raise RuntimeError("optimality condition held but gamma != ceil(beta)")
+    return MinrankStatus(lo, conjecture_value(inst))
 
 
 def length_slack(inst: SncInstance) -> Fraction:
@@ -205,6 +193,14 @@ class AnalysisReport:
     kappa: int
     mds_length: int
     conjecture_value: int
+
+    @property
+    def winner(self) -> str:
+        """The shorter construction, "air" or "mds"; ties go to air.
+
+        Lengths count symbols per message: the AIR code sends bits and the
+        MDS code sends GF(p) elements, so the alphabets differ."""
+        return "air" if self.gamma <= self.mds_length else "mds"
 
 
 def analyze(inst: SncInstance) -> AnalysisReport:

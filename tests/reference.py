@@ -1,7 +1,9 @@
 """Plain reference implementations that only the tests use.
 
 Each one follows its definition directly and shares no code path with
-the package function it checks.
+the package function it checks. The instance enumerator and the
+hypothesis strategy are the tests' one copy of the validity rule
+K >= 2, 0 <= U <= D, U + D <= K - 1.
 """
 
 from __future__ import annotations
@@ -9,8 +11,28 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
-from sncindex import codec, gf2, gfp, mds
+from sncindex import codec, gf2, gfp, mds, snc
+
+
+def all_instances(k_max: int, full: bool = True):
+    """Every valid (K, D, U) with K <= k_max, by K, then D, then U; with
+    full=False, the U + D = K - 1 instances are left out."""
+    for k in range(2, k_max + 1):
+        for d in range(k):
+            for u in range(min(d, k - 1 - d) + 1):
+                if full or u + d < k - 1:
+                    yield snc.SncInstance(k, d, u)
+
+
+@st.composite
+def random_instances(draw, k_max):
+    """A valid instance with K <= k_max."""
+    k = draw(st.integers(2, k_max))
+    d = draw(st.integers(0, k - 1))
+    u = draw(st.integers(0, min(d, k - 1 - d)))
+    return snc.SncInstance(k, d, u)
 
 
 def subset_search_plan(spec: codec.CodeSpec) -> list[tuple[int, tuple, tuple]]:

@@ -14,17 +14,9 @@ import pytest
 from sncindex import air, codec, gf2, mds, oracles, snc
 from sncindex.cli import main, truncated_rate
 
-from reference import mds_table_certified
+from reference import all_instances, mds_table_certified
 
 GOLDEN = Path(__file__).parent / "data" / "rate_table_golden.tsv"
-
-
-def instances(k_max, include_full=False):
-    for k in range(2, k_max + 1):
-        for d in range(k):
-            top = min(d, (k - 1 if include_full else k - 2) - d)
-            for u in range(top + 1):
-                yield snc.SncInstance(k, d, u)
 
 
 _started = [0.0]
@@ -61,7 +53,7 @@ def test_criterion_02_cyclic_windows_exhaustive_64():
 
 def test_criterion_03_mais_formula_vs_brute():
     swept = 0
-    for inst in instances(14, include_full=True):
+    for inst in all_instances(14):
         order, witness = oracles.brute_mais(snc.build_graph(inst))
         assert order == snc.mais(inst), inst
         assert len(witness) == order
@@ -110,11 +102,13 @@ def test_criterion_05_rate_table_sweep(capsys):
         report("05 K=827 rate table (10 rows, golden bytes)")
 
 
-def test_criterion_06_roundtrip_sweep_k40():
+def test_criterion_06_roundtrip_sweep_k40(specs_k40):
     built = 0
     decodes = 0
-    for inst in instances(40):
-        spec = codec.build_code(inst)
+    for spec in specs_k40:
+        inst = spec.inst
+        if inst.full_side_info:
+            continue
         seed = inst.k * 100_000 + inst.d * 100 + inst.u
         rep = oracles.roundtrip_sim(spec, 100, seed=seed)
         assert rep.passed, (inst, rep.first_failure)
@@ -126,7 +120,7 @@ def test_criterion_06_roundtrip_sweep_k40():
 
 def test_criterion_07_length_within_two_of_rate():
     swept = 0
-    for inst in instances(200):
+    for inst in all_instances(200, full=False):
         beta = snc.broadcast_rate(inst)
         gamma = snc.code_length(inst)
         assert snc.mais(inst) <= beta <= gamma < beta + 2, inst
@@ -149,7 +143,7 @@ def test_criterion_08_minrank_oracle():
     assert snc.code_length(one_sided) == 4 - 2 == 2
 
     swept = []
-    for inst in instances(26):
+    for inst in all_instances(26, full=False):
         if inst.k * (inst.u + inst.d) > oracles.MINRANK_CAP:
             continue
         if not snc.optimality_condition(inst):
@@ -162,10 +156,12 @@ def test_criterion_08_minrank_oracle():
     report("08 minrank oracle == gamma", f"({len(swept)} in-cap instances + 2 spots)")
 
 
-def test_criterion_09_expanded_matrix_identity():
+def test_criterion_09_expanded_matrix_identity(specs_k40):
     swept = 0
-    for inst in instances(40):
-        spec = codec.build_code(inst)
+    for spec in specs_k40:
+        inst = spec.inst
+        if inst.full_side_info:
+            continue
         for k in range(inst.k):
             e = np.zeros(inst.k, dtype=np.uint8)
             e[k] = 1
@@ -176,7 +172,7 @@ def test_criterion_09_expanded_matrix_identity():
 
 def test_criterion_10_mds_baseline():
     swept = 0
-    for inst in instances(40, include_full=True):
+    for inst in all_instances(40):
         spec = mds.build_mds(inst)
         table = mds.decoder_table(spec)
         # exact: every receiver decodes all p^K messages
@@ -192,6 +188,6 @@ def test_criterion_10_mds_baseline():
             side = {j: first[j] for j in spec.graph.known[rec]}
             assert mds.mds_decode(spec, rec, c[0], side) == first[rec], (inst, rec)
         swept += 1
-    cmp = mds.compare_lengths(snc.SncInstance(20, 9, 2))
-    assert cmp.winner == "air" and cmp.conjecture_value == 5
+    r = snc.analyze(snc.SncInstance(20, 9, 2))
+    assert (r.gamma, r.mds_length, r.winner, r.conjecture_value) == (5, 9, "air", 5)
     report("10 mds baseline round-trip", f"({swept} instances)")

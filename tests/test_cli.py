@@ -100,13 +100,19 @@ def test_analyze_tsv(capsys):
 
 
 def test_analyze_json(capsys):
-    code, out, _ = run(capsys, "analyze", "--k", "16", "--d", "3", "--u", "2", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["beta"] == "5"
-    assert data["gamma"] == 6
-    assert data["optimality"] is False
-    assert data["minrank"] == "5..6"
+    # the same keys in the same order; --json keeps ints and bools as JSON
+    # types, and the TSV writes bools in lower case
+    code, out, err = run(capsys, "analyze", "--k", "16", "--d", "3", "--u", "2", "--json")
+    assert (code, out, err) == (0, (
+        '{"K": 16, "D": 3, "U": 2, "beta": "5", "capacity": "1/5", "mais": 5, "gamma": 6, '
+        '"optimality": false, "minrank": "5..6", "kappa": 10, "mds_length": 11, '
+        '"conjecture_value": 6}\n'), "")
+    keys = list(json.loads(out))
+    code, out, err = run(capsys, "analyze", "--k", "16", "--d", "3", "--u", "2")
+    assert (code, out, err) == (0, (
+        "K\tD\tU\tbeta\tcapacity\tmais\tgamma\toptimality\tminrank\tkappa\tmds_length\t"
+        "conjecture_value\n16\t3\t2\t5\t1/5\t5\t6\tfalse\t5..6\t10\t11\t6\n"), "")
+    assert out.splitlines()[0].split("\t") == keys
 
 
 def test_analyze_rejects_invalid_instance(capsys):
@@ -144,9 +150,11 @@ def test_decode_rejects_bad_mask(capsys):
      "error: expected 5 message bits\n"),
     (("decode", "--k", "4", "--d", "1", "--u", "0", "--receiver", "0", "--code", "100",
       "--sideinfo", "?1x?"), "error: --sideinfo must be 4 characters of 0/1/?\n"),
-    (("baseline", "mds", "--k", "5", "--d", "3", "--u", "1", "--compare"),
-     "error: U + D = K - 1 is served by the single-sum code\n"),
-], ids=["encode-length", "decode-sideinfo", "compare-full-side-info"])
+    (("baseline", "mds", "--k", "5", "--d", "1", "--u", "0", "--encode", "1,2,3,4,-1"),
+     "error: entries must lie in [0, 5)\n"),
+    (("baseline", "mds", "--k", "5", "--d", "1", "--u", "0", "--encode",
+      "1,2,3,4,99999999999999999999"), "error: entries must lie in [0, 5)\n"),
+], ids=["encode-length", "decode-sideinfo", "mds-encode-negative", "mds-encode-beyond-int64"])
 def test_validation_errors_exit_1(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
 
@@ -264,6 +272,12 @@ def test_baseline_compare_builds_no_code(capsys, monkeypatch):
     monkeypatch.setattr(mds, "build_mds", no_build)
     code, out, err = run(capsys, "baseline", "mds", "--k", "20", "--d", "9", "--u", "2", "--compare")
     assert (code, out, err) == (0, "gamma\tmds_length\twinner\tconjecture_value\n5\t9\tair\t5\n", "")
+
+
+def test_baseline_compare_full_side_info(capsys):
+    # U + D = K - 1: one parity, as long as the MDS code; air wins the tie
+    code, out, err = run(capsys, "baseline", "mds", "--k", "5", "--d", "3", "--u", "1", "--compare")
+    assert (code, out, err) == (0, "gamma\tmds_length\twinner\tconjecture_value\n1\t1\tair\t1\n", "")
 
 
 def test_baseline_encode(capsys):

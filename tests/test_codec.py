@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sncindex import codec, gf2, snc
 
-from reference import subset_search_bounded, subset_search_plan
+from reference import random_instances, subset_search_bounded, subset_search_plan
 
 K20 = snc.SncInstance(20, 9, 2)
 
@@ -231,19 +231,6 @@ def test_plan_single_sum():
     assert plan.table_rows() == [(0, 4, (0,))]
 
 
-def valid_instances(k_max):
-    for k in range(2, k_max + 1):
-        for d in range(k):
-            for u in range(min(d, k - 1 - d) + 1):
-                yield snc.SncInstance(k, d, u)
-
-
-@pytest.fixture(scope="module")
-def specs_k40():
-    # shared, so that decoder rows built by one test serve the next
-    return [codec.code_for(inst) for inst in valid_instances(40)]
-
-
 def assert_plan_certificate(spec, plan):
     # each receiver's symbols sum to its own group plus the cancelled groups,
     # and it knows every message of those
@@ -333,16 +320,8 @@ def test_certificate_rejects_wrong_solver_column(monkeypatch):
         assert_decoder_certificate(codec.build_code(K20))
 
 
-@st.composite
-def instances(draw, k_max):
-    k = draw(st.integers(2, k_max))
-    d = draw(st.integers(0, k - 1))
-    u = draw(st.integers(0, min(d, k - 1 - d)))
-    return snc.SncInstance(k, d, u)
-
-
 @settings(max_examples=40, deadline=None)
-@given(inst=instances(300), seed=st.integers(0, 2**32 - 1))
+@given(inst=random_instances(300), seed=st.integers(0, 2**32 - 1))
 def test_decode_recovers_every_message_property(inst, seed):
     spec = codec.code_for(inst)
     x = np.random.default_rng(seed).integers(0, 2, size=inst.k, dtype=np.uint8)
@@ -352,6 +331,6 @@ def test_decode_recovers_every_message_property(inst, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(inst=instances(2000))
+@given(inst=random_instances(2000))
 def test_decoder_rows_certified_property(inst):
     assert_decoder_certificate(codec.code_for(inst))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sncindex import mds, snc
 
-from reference import mds_table_certified, prime_rank
+from reference import mds_table_certified, prime_rank, random_instances
 
 
 def side_of(graph, x, k):
@@ -64,6 +64,16 @@ def test_encode_rejects_out_of_field():
     spec = mds.build_mds(snc.SncInstance(3, 1, 0))
     with pytest.raises(ValueError):
         mds.mds_encode(spec, [0, 3, 0])
+
+
+def test_values_beyond_int64_raise_value_error():
+    spec = mds.build_mds(snc.SncInstance(5, 1, 0))
+    for big in (2**70, -2**70):
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 5\)"):
+            mds.mds_encode(spec, [1, 2, 3, 4, big])
+    c = mds.mds_encode(spec, [1, 2, 3, 4, 0]).tolist()
+    with pytest.raises(ValueError, match="codeword symbols must fit in 64 bits"):
+        mds.mds_decode(spec, 0, [*c[:-1], 2**70], {1: 2})
 
 
 def test_decode_round_trip_small():
@@ -167,27 +177,8 @@ def test_decodable_over_prime_field():
         assert prime_rank(p, stacked) == prime_rank(p, with_target)
 
 
-def test_compare_lengths_examples():
-    assert mds.compare_lengths(snc.SncInstance(20, 9, 2)) == mds.LengthComparison(5, 9, "air", 5)
-    assert mds.compare_lengths(snc.SncInstance(10, 2, 1)) == mds.LengthComparison(5, 7, "air", 5)
-    assert mds.compare_lengths(snc.SncInstance(6, 2, 2)) == mds.LengthComparison(2, 2, "air", 2)
-
-
-def test_compare_lengths_rejects_full_side_info():
-    with pytest.raises(snc.FullSideInfo):
-        mds.compare_lengths(snc.SncInstance(5, 3, 1))
-
-
-@st.composite
-def instances(draw, k_max):
-    k = draw(st.integers(2, k_max))
-    d = draw(st.integers(0, k - 1))
-    u = draw(st.integers(0, min(d, k - 1 - d)))
-    return snc.SncInstance(k, d, u)
-
-
 @settings(max_examples=30, deadline=None)
-@given(inst=instances(60), seed=st.integers(0, 2**32 - 1))
+@given(inst=random_instances(60), seed=st.integers(0, 2**32 - 1))
 def test_decode_recovers_every_symbol_property(inst, seed):
     spec = mds.build_mds(inst)
     x = np.random.default_rng(seed).integers(0, spec.pf.p, size=inst.k)

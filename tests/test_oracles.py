@@ -11,17 +11,7 @@ import pytest
 
 from sncindex import codec, gf2, oracles, snc
 
-from reference import exists_rank_at_most, in_span
-
-
-def all_instances(k_max, skip_full=False):
-    for k in range(2, k_max + 1):
-        for d in range(k):
-            for u in range(min(d, k - 1 - d) + 1):
-                inst = snc.SncInstance(k, d, u)
-                if skip_full and inst.full_side_info:
-                    continue
-                yield inst
+from reference import all_instances, exists_rank_at_most, in_span
 
 
 def kahn_acyclic(known, vertices):
@@ -337,7 +327,7 @@ def test_rank_search_matches_reference_on_random_graphs(seed):
 
 def test_rank_search_matches_reference_on_circulants():
     count = 0
-    for inst in all_instances(20, skip_full=True):
+    for inst in all_instances(20, full=False):
         if inst.k * (inst.d + inst.u) <= 20:
             assert_rank_search_matches_reference(snc.build_graph(inst))
             count += 1
@@ -383,7 +373,7 @@ def test_minrank_bracketed_by_mais_and_constructions():
 def test_minrank_bounds_full_in_cap_sweep():
     # every instance within the enumeration cap, with the default early stop
     count = 0
-    for inst in all_instances(26, skip_full=True):
+    for inst in all_instances(26, full=False):
         if inst.k * (inst.u + inst.d) > oracles.MINRANK_CAP:
             continue
         stop = max(snc.mais(inst), math.ceil(snc.broadcast_rate(inst)))

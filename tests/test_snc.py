@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from sncindex import codec, mds, snc
+from sncindex import codec, snc
+
+from reference import all_instances
 
 
 def kahn_acyclic(edges, vertices):
@@ -23,13 +25,6 @@ def kahn_acyclic(edges, vertices):
             if indeg[w] == 0:
                 stack.append(w)
     return seen == len(vs)
-
-
-def all_instances(k_max):
-    for k in range(2, k_max + 1):
-        for d in range(k):
-            for u in range(min(d, k - 1 - d) + 1):
-                yield snc.SncInstance(k, d, u)
 
 
 def test_validation_messages_name_the_rule():
@@ -104,18 +99,16 @@ def test_code_length_full_side_info_is_one():
 
 
 def test_full_side_info_values_are_one():
-    # U + D = K - 1: the code is one parity, and no MDS comparison is made
+    # U + D = K - 1: the code is one parity, as long as the MDS code, and air wins the tie
     for k in range(2, 61):
         for u in range((k - 1) // 2 + 1):
             inst = snc.SncInstance(k, k - 1 - u, u)
-            status = snc.minrank_status(inst)
-            lengths = (codec.build_code(inst).n, snc.code_length(inst), snc.analyze(inst).gamma,
-                       status.lo, status.hi, snc.conjecture_value(inst))
-            assert lengths == (1,) * 6, inst
+            r = snc.analyze(inst)
+            lengths = (codec.build_code(inst).n, snc.code_length(inst), r.gamma, r.mds_length,
+                       r.minrank.lo, r.minrank.hi, r.conjecture_value)
+            assert lengths == (1,) * 7, inst
+            assert r.winner == "air", inst
             assert snc.length_slack(inst) == 0
-            with pytest.raises(snc.FullSideInfo) as exc:
-                mds.compare_lengths(inst)
-            assert isinstance(exc.value, ValueError)
 
 
 def test_optimality_condition_examples():
@@ -192,14 +185,20 @@ def test_graph_regular_out_degree():
 
 
 def test_formula_ordering_sweep():
-    # mais <= beta <= gamma < beta + 2, exact rational comparisons
+    # mais <= beta <= gamma < beta + 2, exact rational comparisons; the
+    # minrank bounds are ceil(beta) (which mais never exceeds) and the
+    # shorter construction
     for inst in all_instances(60):
         beta = snc.broadcast_rate(inst)
         gamma = snc.code_length(inst)
+        ceil_beta = -(-beta.numerator // beta.denominator)
         assert snc.mais(inst) <= beta <= gamma
         assert gamma < beta + 2
         if snc.optimality_condition(inst):
-            assert gamma == -(-beta.numerator // beta.denominator)
+            assert gamma == ceil_beta
+        status = snc.minrank_status(inst)
+        assert status.lo == max(snc.mais(inst), ceil_beta), inst
+        assert status.hi == min(gamma, inst.k - inst.d - inst.u), inst
 
 
 def test_analyze_report():
@@ -211,3 +210,17 @@ def test_analyze_report():
     assert r.minrank.exact == 5
     full = snc.analyze(snc.SncInstance(5, 3, 1))
     assert full.gamma == 1 and full.minrank.exact == 1 and full.conjecture_value == 1
+
+
+def test_winner_examples():
+    # (gamma, mds_length, winner, conjecture_value); a tie goes to air
+    for kdu, lengths in [
+        ((20, 9, 2), (5, 9, "air", 5)),
+        ((10, 2, 1), (5, 7, "air", 5)),
+        ((6, 2, 2), (2, 2, "air", 2)),
+        ((10, 4, 2), (4, 4, "air", 4)),
+        ((30, 4, 1), (14, 25, "air", 14)),
+        ((5, 2, 1), (3, 2, "mds", 2)),
+    ]:
+        r = snc.analyze(snc.SncInstance(*kdu))
+        assert (r.gamma, r.mds_length, r.winner, r.conjecture_value) == lengths, kdu
