@@ -154,6 +154,14 @@ def test_decode_clique_case_is_subtraction():
     assert mds.mds_decode(spec, 2, c, side_of(spec.graph, x, 2)) == 4
 
 
+def test_full_side_info_comparison_is_air_tie():
+    # U + D = K - 1: both codes are one symbol long, and air wins the tie
+    inst = snc.SncInstance(5, 3, 1)
+    r = snc.analyze(inst)
+    assert (r.gamma, r.mds_length, r.winner, r.conjecture_value) == (1, 1, "air", 1)
+    assert mds.build_mds(inst).n == r.mds_length
+
+
 def test_every_row_subset_invertible():
     inst = snc.SncInstance(12, 5, 3)
     spec = mds.build_mds(inst)
