@@ -209,6 +209,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_baseline(args) -> int:
     inst = _instance(args)
+    if args.encode is not None and args.compare:
+        raise ValueError("--encode and --compare cannot be combined")
     if args.encode is not None:
         x = [int(tok) for tok in args.encode.split(",")]
         c = mds.mds_encode(mds.build_mds(inst), x)

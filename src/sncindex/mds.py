@@ -30,7 +30,8 @@ class DecoderTable:
 
 @dataclass(frozen=True, eq=False)
 class MdsCodeSpec:
-    """The decoder table is derived on first use; a replaced copy derives its own."""
+    """The decoder table and the evaluation slot are derived on first use;
+    a replaced copy derives its own."""
 
     inst: SncInstance
     pf: PrimeField
@@ -41,6 +42,11 @@ class MdsCodeSpec:
     @cached_property
     def _table(self) -> DecoderTable:
         return _build_table(self)
+
+    @cached_property
+    def _evaluated(self) -> list[tuple]:
+        """One slot: (codeword bytes, rows . c mod p) for the codeword decoded last."""
+        return [(None, None)]
 
 
 def build_mds(inst: SncInstance) -> MdsCodeSpec:
@@ -103,10 +109,43 @@ def _build_table(spec: MdsCodeSpec) -> DecoderTable:
     return DecoderTable(rows, side, tuple(side[ids[:, None], known].tolist()))
 
 
-def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
-    """Evaluate receiver k's row of the decoder table on the codeword and side information.
+def certify(spec: MdsCodeSpec) -> int | None:
+    """The first receiver whose decoder is not exact, or None when every one is.
 
-    Codeword and side values are reduced mod p by the arithmetic itself.
+    Receiver k outputs rows[k] . c - known_side[k] . x[known[k]] with
+    c = x G. That is x_k for all p^K messages iff row k of
+    (rows G^T - side) mod p is row k of the identity, side[k] is 0 outside
+    k's known set, and known_side[k], what mds_decode sums, is side[k] at
+    known[k].
+    """
+    table = decoder_table(spec)
+    k, p = spec.inst.k, spec.pf.p
+    ids = np.arange(k)[:, None]
+    known = np.array(spec.graph.known, dtype=np.intp)
+    outside = np.ones((k, k), dtype=bool)
+    outside[ids, known] = False
+    product = (table.rows @ spec.generator.T - table.side) % p
+    bad = (product != np.eye(k, dtype=np.int64)).any(axis=1)
+    bad |= (outside & (table.side != 0)).any(axis=1)
+    at_known = table.side[ids, known].tolist()
+    bad |= [ks != s for ks, s in zip(table.known_side, at_known, strict=True)]
+    failing = np.flatnonzero(bad)
+    return int(failing[0]) if failing.size else None
+
+
+def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
+    """Receiver k's message: rows[k] . c minus the side term, mod p.
+
+    Codeword symbols are reduced mod p before the product, so any int64
+    representative decodes alike; side values, Python ints, are reduced by
+    the arithmetic itself.
+
+    Every receiver of a trial decodes the same codeword, so the first call
+    on a codeword evaluates all K rows in one product and keeps the values
+    in the spec's one slot, keyed by the codeword's bytes; later calls on
+    that codeword, for any receiver, only read values[k]. The trade-off:
+    one receiver of a fresh codeword costs a K x n product, not an n-long
+    dot. No command or benchmark workload decodes that way at large K.
     """
     if not 0 <= k < spec.inst.k:
         raise ValueError(f"receiver index {k} out of range")
@@ -117,9 +156,18 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     if cc.shape != (spec.n,):
         raise ValueError(f"expected a codeword of {spec.n} symbols")
     known = spec.graph.known[k]
-    if side.keys() != spec.graph.known_sets[k]:
-        raise ValueError(f"side information must cover exactly the known set of receiver {k}")
-    table = decoder_table(spec)
-    known_part = sum(map(mul, table.known_side[k], map(side.__getitem__, known)))
-    return int((int(table.rows[k].dot(cc)) - known_part) % spec.pf.p)
+    if len(side) != len(known):
+        raise _side_error(k)
+    p, table, key = spec.pf.p, spec._table, cc.tobytes()
+    last = spec._evaluated[0]
+    if last[0] != key:
+        last = spec._evaluated[0] = (key, (table.rows @ (cc % p) % p).tolist())
+    try:
+        known_part = sum(map(mul, table.known_side[k], map(side.__getitem__, known)))
+    except KeyError:
+        raise _side_error(k) from None
+    return int((last[1][k] - known_part) % p)
 
+
+def _side_error(k: int) -> ValueError:
+    return ValueError(f"side information must cover exactly the known set of receiver {k}")

@@ -136,14 +136,19 @@ def mds_table_certified(spec: mds.MdsCodeSpec, table: mds.DecoderTable) -> bool:
     Receiver k outputs rows[k] . c - side[k] . x with c = x G, which is
     x . (G rows[k] - side[k]). That equals x_k for every x iff
     (rows G^T - side) mod p is the identity, and the receiver reads only
-    messages it knows iff side[k] is 0 outside its known set.
+    messages it knows iff side[k] is 0 outside its known set. mds_decode
+    sums known_side[k], which must be side[k] at k's known messages.
     """
     k, p = spec.inst.k, spec.pf.p
     known = np.zeros((k, k), dtype=bool)
     for rec, js in enumerate(spec.graph.known_sets):
         known[rec, list(js)] = True
     exact = (table.rows @ spec.generator.T - table.side) % p == np.eye(k, dtype=np.int64)
-    return bool(exact.all()) and not table.side[~known].any()
+    summed = all(
+        table.known_side[rec] == [int(table.side[rec, j]) for j in js]
+        for rec, js in enumerate(spec.graph.known)
+    )
+    return bool(exact.all()) and not table.side[~known].any() and summed
 
 
 def exists_rank_at_most(known, r: int, row0: list[int]) -> bool:

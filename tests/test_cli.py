@@ -154,7 +154,10 @@ def test_decode_rejects_bad_mask(capsys):
      "error: entries must lie in [0, 5)\n"),
     (("baseline", "mds", "--k", "5", "--d", "1", "--u", "0", "--encode",
       "1,2,3,4,99999999999999999999"), "error: entries must lie in [0, 5)\n"),
-], ids=["encode-length", "decode-sideinfo", "mds-encode-negative", "mds-encode-beyond-int64"])
+    (("baseline", "mds", "--k", "5", "--d", "1", "--u", "0", "--encode", "1,2,3,4,0",
+      "--compare"), "error: --encode and --compare cannot be combined\n"),
+], ids=["encode-length", "decode-sideinfo", "mds-encode-negative", "mds-encode-beyond-int64",
+        "mds-encode-and-compare"])
 def test_validation_errors_exit_1(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
 

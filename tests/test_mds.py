@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sncindex import mds, snc
 
-from reference import mds_table_certified, prime_rank, random_instances
+from reference import all_instances, mds_table_certified, prime_rank, random_instances
 
 
 def side_of(graph, x, k):
@@ -76,6 +76,58 @@ def test_values_beyond_int64_raise_value_error():
         mds.mds_decode(spec, 0, [*c[:-1], 2**70], {1: 2})
 
 
+def test_decode_reduces_any_int64_representative():
+    # symbols shifted by a multiple of p near 2**61 used to overflow the dot product
+    spec = mds.build_mds(snc.SncInstance(5, 1, 0))
+    p, x = spec.pf.p, [1, 2, 3, 4, 0]
+    c = mds.mds_encode(spec, x)
+    big = p * (2**61 // p)
+    for shifted in (c + big, c - big, c - p, c + 3 * p):
+        for rec in range(5):
+            assert mds.mds_decode(spec, rec, shifted, side_of(spec.graph, x, rec)) == x[rec]
+
+
+def test_decode_validates_every_input_in_order():
+    spec = mds.build_mds(snc.SncInstance(5, 1, 0))
+    x = [1, 2, 3, 4, 0]
+    c = mds.mds_encode(spec, x).tolist()
+    side = side_of(spec.graph, x, 0)
+    (j,) = side
+    cases = [
+        ((5, c, side), "receiver index 5 out of range"),
+        ((-1, [2**70] * 5, {}), "receiver index -1 out of range"),
+        ((0, [2**70] * 5, {}), "codeword symbols must fit in 64 bits"),
+        ((0, c[:-1], {}), "expected a codeword of 4 symbols"),
+        ((0, c, {}), "side information must cover exactly the known set of receiver 0"),
+        ((0, c, {**side, 4: 0}), "side information must cover exactly the known set of receiver 0"),
+        ((0, c, {j + 1: 0}), "side information must cover exactly the known set of receiver 0"),
+    ]
+    for args, text in cases:
+        with pytest.raises(ValueError) as info:
+            mds.mds_decode(spec, *args)
+        assert str(info.value) == text
+    # a rejected call leaves the evaluated codeword usable
+    assert mds.mds_decode(spec, 0, c, side) == x[0]
+
+
+def test_decode_evaluates_each_codeword_by_its_contents():
+    spec = mds.build_mds(snc.SncInstance(9, 3, 1))
+    rng = np.random.default_rng(47)
+    x1, x2 = rng.integers(0, spec.pf.p, size=(2, 9))
+    c1, c2 = mds.mds_encode(spec, x1), mds.mds_encode(spec, x2)
+    for rec in range(9):  # receivers of two codewords, interleaved
+        assert mds.mds_decode(spec, rec, c1, side_of(spec.graph, x1, rec)) == x1[rec]
+        assert mds.mds_decode(spec, rec, c2, side_of(spec.graph, x2, rec)) == x2[rec]
+    c = c1.copy()
+    for rec in range(9):  # one array, rewritten in place between calls
+        c[:] = c1
+        assert mds.mds_decode(spec, rec, c, side_of(spec.graph, x1, rec)) == x1[rec]
+        c[:] = c2
+        assert mds.mds_decode(spec, rec, c, side_of(spec.graph, x2, rec)) == x2[rec]
+    for rec in range(9):
+        assert mds.mds_decode(spec, rec, c1.tolist(), side_of(spec.graph, x1, rec)) == x1[rec]
+
+
 def test_decode_round_trip_small():
     rng = np.random.default_rng(37)
     for k, d, u in [(4, 1, 0), (6, 2, 1), (9, 4, 2), (5, 3, 1)]:
@@ -96,7 +148,7 @@ def test_decoder_row_is_the_inverse_row(k, d, u):
     spec = mds.build_mds(snc.SncInstance(k, d, u))
     table = mds.decoder_table(spec)
     assert table.rows.shape == (k, spec.n) and table.side.shape == (k, k)
-    assert mds_table_certified(spec, table)
+    assert mds_table_certified(spec, table) and mds.certify(spec) is None
     for rec in range(k):
         unknown = sorted(set(range(k)) - spec.graph.known_sets[rec])
         inverse = spec.pf.invert(spec.generator[unknown].T)
@@ -104,17 +156,24 @@ def test_decoder_row_is_the_inverse_row(k, d, u):
         assert table.known_side[rec] == table.side[rec, list(spec.graph.known[rec])].tolist()
 
 
-@pytest.mark.parametrize("which", ["rows", "side"])
-def test_certificate_rejects_a_changed_coefficient(which):
+@pytest.mark.parametrize("which", ["rows", "side", "known_side"])
+def test_certificate_rejects_a_changed_coefficient(which, monkeypatch):
+    # certify names the receiver whose entry changed; the reference agrees
     spec = mds.build_mds(snc.SncInstance(13, 3, 1))
     table = mds.decoder_table(spec)
-    assert mds_table_certified(spec, table)
+    assert mds_table_certified(spec, table) and mds.certify(spec) is None
     rng = np.random.default_rng(41)
     for _ in range(20):
-        changed = getattr(table, which).copy()
-        r, j = rng.integers(0, 13), rng.integers(0, changed.shape[1])
-        changed[r, j] = (changed[r, j] + rng.integers(1, spec.pf.p)) % spec.pf.p
-        assert not mds_table_certified(spec, replace(table, **{which: changed}))
+        if which == "known_side":
+            changed = [list(row) for row in table.known_side]
+        else:
+            changed = getattr(table, which).copy()
+        r, j = int(rng.integers(0, 13)), int(rng.integers(0, len(changed[0])))
+        changed[r][j] = (changed[r][j] + int(rng.integers(1, spec.pf.p))) % spec.pf.p
+        bad = replace(table, **{which: changed})
+        assert not mds_table_certified(spec, bad)
+        monkeypatch.setattr(mds, "_build_table", lambda s: bad)
+        assert mds.certify(replace(spec)) == r
 
 
 @pytest.mark.parametrize("k,d,u", [(7, 2, 1), (20, 9, 2), (31, 0, 0), (12, 6, 5)])
@@ -132,6 +191,23 @@ def test_decode_matches_batched_product(k, d, u):
             assert mds.mds_decode(spec, rec, c[t], side) == batch[t, rec]
 
 
+def test_decode_matches_batched_product_up_to_k40():
+    # one codeword per instance, each symbol shifted by its own multiple of p
+    for inst in all_instances(40):
+        spec = mds.build_mds(inst)
+        table = mds.decoder_table(spec)
+        p = spec.pf.p
+        rng = np.random.default_rng(inst.k * 10_000 + inst.d * 100 + inst.u)
+        x = rng.integers(0, p, size=inst.k)
+        c = mds.mds_encode(spec, x)
+        batch = ((table.rows @ c - table.side @ x) % p).tolist()
+        shifted = c + p * rng.integers(-(2**62 // p), 2**62 // p, size=spec.n)
+        msgs = x.tolist()
+        got = [mds.mds_decode(spec, rec, shifted, {j: msgs[j] for j in known})
+               for rec, known in enumerate(spec.graph.known)]
+        assert got == batch == msgs, inst
+
+
 def test_replaced_copy_derives_its_own_table():
     spec = mds.build_mds(snc.SncInstance(9, 2, 1))
     table = mds.decoder_table(spec)
@@ -140,8 +216,12 @@ def test_replaced_copy_derives_its_own_table():
     assert mds.decoder_table(spec) is table
     x = np.random.default_rng(43).integers(0, copy.pf.p, size=9)
     c = mds.mds_encode(copy, x)
+    # the same codeword decoded on both specs, interleaved: each evaluates its own rows
+    want = (table.rows @ c - table.side @ x) % spec.pf.p
     for rec in range(9):
-        assert mds.mds_decode(copy, rec, c, side_of(copy.graph, x, rec)) == x[rec]
+        side = side_of(copy.graph, x, rec)
+        assert mds.mds_decode(copy, rec, c, side) == x[rec]
+        assert mds.mds_decode(spec, rec, c, side) == want[rec]
 
 
 def test_decode_clique_case_is_subtraction():
