@@ -150,7 +150,8 @@ def _build_rows(spec: CodeSpec) -> list[DecoderRow | None]:
         if cols is None:
             continue
         members = spec.groups[j]
-        common = frozenset.intersection(*(spec.graph.known_sets[m] for m in members))
+        first, *rest = (spec.graph.known[m] for m in members)
+        common = set(first).intersection(*rest)
         usable = {g for g in {spec.group_of[m] for m in common}
                   if common.issuperset(spec.groups[g])}
         coset = [cols[-1]]
@@ -205,7 +206,7 @@ def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     cc = gf2.as_bits(c, ndim=1)
     if cc.shape[0] != spec.n:
         raise LengthMismatchError(f"expected a codeword of {spec.n} bits")
-    if side.keys() != spec.graph.known_sets[k]:
+    if side.keys() != set(spec.graph.known[k]):
         raise SideInfoMismatchError(
             f"side information must cover exactly the known set of receiver {k}"
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -137,8 +137,8 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     """Receiver k's message: rows[k] . c minus the side term, mod p.
 
     Codeword symbols are reduced mod p before the product, so any int64
-    representative decodes alike; side values, Python ints, are reduced by
-    the arithmetic itself.
+    representative decodes alike. Side values are taken as integers
+    (operator.index, so numpy ints cannot wrap) and reduced exactly.
 
     Every receiver of a trial decodes the same codeword, so the first call
     on a codeword evaluates all K rows in one product and keeps the values
@@ -163,9 +163,13 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     if last[0] != key:
         last = spec._evaluated[0] = (key, (table.rows @ (cc % p) % p).tolist())
     try:
-        known_part = sum(map(mul, table.known_side[k], map(side.__getitem__, known)))
+        known_part = sum(map(mul, table.known_side[k], map(index, map(side.__getitem__, known))))
     except KeyError:
         raise _side_error(k) from None
+    except TypeError:
+        if side.keys() != set(known):
+            raise _side_error(k) from None
+        raise ValueError("side information values must be integers") from None
     return int((last[1][k] - known_part) % p)
 
 

@@ -40,21 +40,20 @@ class SncInstance:
 
 @dataclass(frozen=True)
 class SideInfoGraph:
-    """Directed graph with an edge k -> j iff receiver k knows message j."""
+    """Directed graph with an edge k -> j iff receiver k knows message j.
+    known[k] stores them once, as a tuple: the U before k, ascending, then the D after."""
 
     k: int
     known: tuple[tuple[int, ...], ...]
-    known_sets: tuple[frozenset[int], ...]
 
 
 def build_graph(inst: SncInstance) -> SideInfoGraph:
     """Circulant adjacency: backward indices ascending, then forward ascending."""
     k, d, u = inst.k, inst.d, inst.u
     ring = [x % k for x in range(-k, 2 * k)]  # ring[k + x] == x % k for -k <= x < 2k
-    known = tuple([
+    return SideInfoGraph(k, tuple([
         tuple(ring[k + v - u:k + v] + ring[k + v + 1:k + v + d + 1]) for v in range(k)
-    ])
-    return SideInfoGraph(k, known, tuple(map(frozenset, known)))
+    ]))
 
 
 def induced_acyclic(graph: SideInfoGraph, vertices) -> bool:

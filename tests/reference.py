@@ -52,7 +52,7 @@ def subset_search_plan(spec: codec.CodeSpec) -> list[tuple[int, tuple, tuple]]:
     for j in range(k1):
         shared = None
         for k in spec.groups[j]:
-            known = spec.graph.known_sets[k]
+            known = set(spec.graph.known[k])
             mine = {i for i in range(k1) if i != j and group_sets[i] <= known}
             shared = mine if shared is None else shared & mine
         fully_known.append(shared or set())
@@ -141,7 +141,7 @@ def mds_table_certified(spec: mds.MdsCodeSpec, table: mds.DecoderTable) -> bool:
     """
     k, p = spec.inst.k, spec.pf.p
     known = np.zeros((k, k), dtype=bool)
-    for rec, js in enumerate(spec.graph.known_sets):
+    for rec, js in enumerate(spec.graph.known):
         known[rec, list(js)] = True
     exact = (table.rows @ spec.generator.T - table.side) % p == np.eye(k, dtype=np.int64)
     summed = all(

@@ -170,10 +170,10 @@ def test_criterion_09_expanded_matrix_identity(specs_k40):
     report("09 expanded-matrix identity on basis vectors", f"({swept} instances)")
 
 
-def test_criterion_10_mds_baseline():
+def test_criterion_10_mds_baseline(mds_specs_k40):
     swept = 0
-    for inst in all_instances(40):
-        spec = mds.build_mds(inst)
+    for spec in mds_specs_k40:
+        inst = spec.inst
         table = mds.decoder_table(spec)
         # exact: every receiver decodes all p^K messages
         assert mds.certify(spec) is None, inst

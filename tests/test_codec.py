@@ -135,6 +135,13 @@ def test_decode_side_info_mismatch(spec20):
     side[0] = 0  # receiver 0 may not hold its own message
     with pytest.raises(codec.SideInfoMismatchError):
         codec.decode(spec20, 0, c, side)
+    # the right number of keys, one known message swapped for an unknown one
+    side = side_of(spec20.graph, x, 0)
+    unknown = next(m for m in range(1, 20) if m not in side)
+    side[unknown] = side.pop(next(iter(side)))
+    with pytest.raises(codec.SideInfoMismatchError,
+                       match="^side information must cover exactly the known set of receiver 0$"):
+        codec.decode(spec20, 0, c, side)
 
 
 def test_single_sum_code():
@@ -206,7 +213,7 @@ def test_plan_soundness(spec20):
         c = codec.encode(spec20, x)
         for entry in plan.entries:
             # everything a plan touches must be available to that receiver
-            known = graph.known_sets[entry.receiver]
+            known = set(graph.known[entry.receiver])
             for g in entry.cancelled:
                 assert set(spec20.groups[g]) <= known
             assert eval_plan_entry(spec20, entry, x, c) == x[entry.receiver]
@@ -238,7 +245,7 @@ def assert_plan_certificate(spec, plan):
         odd = spec.air.matrix[:, list(e.symbols)].sum(axis=1) & 1
         assert set(np.flatnonzero(odd)) == {spec.group_of[e.receiver], *e.cancelled}
         for g in e.cancelled:
-            assert set(spec.groups[g]) <= spec.graph.known_sets[e.receiver]
+            assert set(spec.groups[g]) <= set(spec.graph.known[e.receiver])
 
 
 def plan_triples(plan):
@@ -287,7 +294,7 @@ def assert_decoder_certificate(spec):
         own = [m for m in spec.groups[spec.group_of[rec]] if m != rec]
         cancelled = [m for g in row.cancelled for m in spec.groups[g]]
         assert sorted(row.side) == sorted(own + cancelled), (spec.inst, rec)
-        assert set(row.side) <= spec.graph.known_sets[rec], (spec.inst, rec)
+        assert set(row.side) <= set(spec.graph.known[rec]), (spec.inst, rec)
         acc = 0
         for t in row.symbols:
             acc ^= cols[t]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sncindex import mds, snc
 
-from reference import all_instances, mds_table_certified, prime_rank, random_instances
+from reference import mds_table_certified, prime_rank, random_instances
 
 
 def side_of(graph, x, k):
@@ -87,6 +87,25 @@ def test_decode_reduces_any_int64_representative():
             assert mds.mds_decode(spec, rec, shifted, side_of(spec.graph, x, rec)) == x[rec]
 
 
+def test_decode_takes_side_values_as_integers():
+    # numpy int64 side values shifted by a multiple of p near 2**61 wrapped the side sum
+    spec = mds.build_mds(snc.SncInstance(5, 1, 0))
+    p, x = spec.pf.p, [1, 2, 3, 4, 0]
+    c = mds.mds_encode(spec, x)
+    big = p * (2**61 // p)
+    for rec in range(5):
+        side = {j: np.int64(x[j] + big) for j in spec.graph.known[rec]}
+        assert mds.mds_decode(spec, rec, c, side) == x[rec]
+    with pytest.raises(ValueError, match="^side information values must be integers$"):
+        mds.mds_decode(spec, 0, c, {1: 2.0})
+    # a wrong key set is reported as such, even after a non-integer value
+    wide = mds.build_mds(snc.SncInstance(6, 2, 1))
+    c = mds.mds_encode(wide, [0] * 6)
+    assert wide.graph.known[0] == (5, 1, 2)
+    with pytest.raises(ValueError, match="^side information must cover exactly the known set"):
+        mds.mds_decode(wide, 0, c, {5: 0.5, 1: 0, 3: 0})
+
+
 def test_decode_validates_every_input_in_order():
     spec = mds.build_mds(snc.SncInstance(5, 1, 0))
     x = [1, 2, 3, 4, 0]
@@ -150,7 +169,7 @@ def test_decoder_row_is_the_inverse_row(k, d, u):
     assert table.rows.shape == (k, spec.n) and table.side.shape == (k, k)
     assert mds_table_certified(spec, table) and mds.certify(spec) is None
     for rec in range(k):
-        unknown = sorted(set(range(k)) - spec.graph.known_sets[rec])
+        unknown = sorted(set(range(k)).difference(spec.graph.known[rec]))
         inverse = spec.pf.invert(spec.generator[unknown].T)
         assert table.rows[rec].tolist() == inverse[unknown.index(rec)].tolist()
         assert table.known_side[rec] == table.side[rec, list(spec.graph.known[rec])].tolist()
@@ -191,10 +210,10 @@ def test_decode_matches_batched_product(k, d, u):
             assert mds.mds_decode(spec, rec, c[t], side) == batch[t, rec]
 
 
-def test_decode_matches_batched_product_up_to_k40():
+def test_decode_matches_batched_product_up_to_k40(mds_specs_k40):
     # one codeword per instance, each symbol shifted by its own multiple of p
-    for inst in all_instances(40):
-        spec = mds.build_mds(inst)
+    for spec in mds_specs_k40:
+        inst = spec.inst
         table = mds.decoder_table(spec)
         p = spec.pf.p
         rng = np.random.default_rng(inst.k * 10_000 + inst.d * 100 + inst.u)

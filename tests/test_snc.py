@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -174,7 +175,8 @@ def test_build_graph_matches_definition():
         )
         assert g.k == k
         assert g.known == want
-        assert g.known_sets == tuple(frozenset(row) for row in want)
+        assert all(type(row) is tuple for row in g.known)
+    assert [f.name for f in fields(snc.SideInfoGraph)] == ["k", "known"]
 
 
 def test_graph_regular_out_degree():
