@@ -17,7 +17,8 @@ from . import codec, gf2
 from .snc import SideInfoGraph
 
 MAIS_CAP = 20
-#: brute_mais fills its subset table 2^MAIS_BLOCK consecutive masks at a time.
+#: brute_mais fills its subset table in blocks of 2^MAIS_BLOCK consecutive
+#: masks, each one popcount layer of their low bits at a time.
 MAIS_BLOCK = 12
 MINRANK_CAP = 26
 #: Trials roundtrip_sim evaluates together, one bit of an int each.
@@ -34,19 +35,28 @@ def brute_mais(graph: SideInfoGraph, cap: int = MAIS_CAP) -> tuple[int, tuple[in
     A set is acyclic iff it is empty or its lowest sink (a vertex with no
     edges into the rest of the set) leaves an acyclic set when removed,
     since no cycle passes through a sink. The table over all 2^K subset
-    bitmasks is filled in blocks of 2^MAIS_BLOCK consecutive masks. Inside
-    a block, masks go in layers by the popcount of their low bits: a sink
-    among the low bits points to a lower layer of the same block, any
-    other sink to an earlier block. The witness is the first mask in
-    increasing order that reaches the maximum size.
+    bitmasks is filled in blocks of 2^MAIS_BLOCK consecutive masks, which
+    share their high bits. One int64 bitmask per low pattern holds the
+    vertices that are sinks as far as the low bits can tell; ANDed with the
+    block's candidates, its lowest set bit is the mask's lowest sink.
+    Inside a block, masks go in layers by the popcount of their low bits,
+    one slice each of the low patterns sorted by popcount: a sink among the
+    low bits points to a lower layer of the same block, any other sink to
+    an earlier block. Subsets of an acyclic set are acyclic, so once a
+    layer holds none, no higher layer does, and the rest of the block stays
+    0. The witness is the first mask in increasing order that reaches the
+    maximum size.
     """
     k = graph.k
     if k > cap:
         raise TooLargeError(f"K={k} exceeds the 2^K subset cap of {cap}")
+    no_table = f"K={k}: the 2^K subset table does not fit in memory"
+    if k >= 63:  # no array has 2^63 entries, and the sink masks are int64
+        raise TooLargeError(no_table)
     try:
         acyclic = np.zeros(1 << k, dtype=np.uint8)
     except MemoryError:
-        raise TooLargeError(f"K={k}: the 2^K subset table does not fit in memory") from None
+        raise TooLargeError(no_table) from None
     acyclic[0] = 1
     out_mask = [0] * k
     for v in range(k):
@@ -54,29 +64,50 @@ def brute_mais(graph: SideInfoGraph, cap: int = MAIS_CAP) -> tuple[int, tuple[in
             out_mask[v] |= 1 << w
         out_mask[v] &= ~(1 << v)
     c = min(MAIS_BLOCK, k)
+
+    def sinks_of(patterns: np.ndarray, own: range) -> np.ndarray:
+        # bit v set when a pattern holds none of v's out-neighbours, and v if v in own
+        bits = np.zeros(len(patterns), dtype=np.int64)
+        for v in range(k):
+            sink = (patterns & out_mask[v]) == 0
+            if v in own:
+                sink &= (patterns >> v & 1) == 1
+            bits |= sink.astype(np.int64) << v
+        return bits
+
     low = np.arange(1 << c, dtype=np.int64)
-    low_size = np.array([t.bit_count() for t in range(1 << c)], dtype=np.uint8)
-    # sink[v, t]: v is a sink of low bits t, in any block whose high bits
-    # hold v (if v >= c) and none of v's out-neighbours; row k means "none"
-    sink = np.ones((k + 1, 1 << c), dtype=bool)
-    for v in range(k):
-        sink[v] = (low & out_mask[v]) == 0
-        if v < c:
-            sink[v] &= (low >> v & 1) == 1
-    removal = np.array([1 << v for v in range(k)] + [0], dtype=np.int64)
-    layers = [np.flatnonzero(low_size == p) for p in range(c + 1)]
+    low_size = np.zeros(1 << c, dtype=np.int64)
+    for v in range(c):
+        low_size += low >> v & 1
+    order = np.argsort(low_size, kind="stable")  # low patterns, layer by layer
+    ends = np.cumsum(np.bincount(low_size)).tolist()
+    layers = list(zip(ends, ends[1:]))  # layers 1..c as slices of order
+    # a mask's sinks, when its low bits are order[i] and its high bits base:
+    # sinks[i] & cands[base >> c]
+    sinks = sinks_of(low, range(c))[order]
+    bases = range(0, 1 << k, 1 << c)
+    cands = sinks_of(np.array(bases, dtype=np.int64), range(c, k)).tolist()
+    high = (1 << k) - (1 << c)
     best, best_mask = 0, 0
-    for base in range(0, 1 << k, 1 << c):
-        cand = [v for v in range(k) if (v < c or base >> v & 1) and out_mask[v] & base == 0]
-        cand.append(k)
-        bit = removal[cand][sink[cand].argmax(axis=0)]  # lowest sink's bit, 0 if none
-        for layer in layers[1:] if base == 0 else layers:  # mask 0 is set above
-            mask, b = base + layer, bit[layer]
-            acyclic[mask] = acyclic[mask ^ b] & (b != 0)
-        size = np.where(acyclic[base:base + (1 << c)], low_size + base.bit_count(), 0)
-        top = int(size.argmax())
-        if size[top] > best:
-            best, best_mask = int(size[top]), base + top
+    for base, cand in zip(bases, cands):
+        if base:  # layer 0, the high bits alone: their lowest sink is in cand
+            h = cand & high
+            if not (h and acyclic[base ^ (h & -h)]):
+                continue
+            acyclic[base] = 1
+        x = sinks & cand
+        idx = order | base
+        src = idx ^ (x & -x)  # a mask with no sink reads itself, still 0
+        size, last = base.bit_count(), None
+        for s, e in layers:
+            row = acyclic[src[s:e]]
+            if not row.any():
+                break
+            acyclic[idx[s:e]] = row
+            size, last = size + 1, (idx[s:e], row)
+        if size > best:
+            best = size
+            best_mask = base if last is None else int(last[0][last[1].argmax()])
     witness = tuple(v for v in range(k) if best_mask >> v & 1)
     return best, witness
 

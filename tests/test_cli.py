@@ -156,8 +156,12 @@ def test_decode_rejects_bad_mask(capsys):
       "1,2,3,4,99999999999999999999"), "error: entries must lie in [0, 5)\n"),
     (("baseline", "mds", "--k", "5", "--d", "1", "--u", "0", "--encode", "1,2,3,4,0",
       "--compare"), "error: --encode and --compare cannot be combined\n"),
+    (("oracle", "mais", "--k", "63", "--d", "3", "--u", "1", "--cap", "64"),
+     "error: K=63: the 2^K subset table does not fit in memory\n"),
+    (("oracle", "mais", "--k", "64", "--d", "3", "--u", "1", "--cap", "64"),
+     "error: K=64: the 2^K subset table does not fit in memory\n"),
 ], ids=["encode-length", "decode-sideinfo", "mds-encode-negative", "mds-encode-beyond-int64",
-        "mds-encode-and-compare"])
+        "mds-encode-and-compare", "mais-k63", "mais-k64"])
 def test_validation_errors_exit_1(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
 

@@ -122,7 +122,7 @@ def test_brute_mais_matches_scalar_reference_seeded(k):
     assert oracles.brute_mais(graph) == scalar_brute_mais(graph), inst
 
 
-def test_brute_mais_matches_scalar_reference_random_digraphs():
+def random_digraphs():
     # not circulant: sinks, cycles and edge counts vary from vertex to vertex
     rng = random.Random(4)
     for k in [1, 2, 5, 9, 13, 14]:
@@ -131,8 +131,22 @@ def test_brute_mais_matches_scalar_reference_random_digraphs():
                 tuple(w for w in range(k) if w != v and rng.random() < density)
                 for v in range(k)
             )
-            graph = snc.SideInfoGraph(k, known)
-            assert oracles.brute_mais(graph) == scalar_brute_mais(graph), known
+            yield snc.SideInfoGraph(k, known)
+
+
+def test_brute_mais_matches_scalar_reference_random_digraphs():
+    for graph in random_digraphs():
+        assert oracles.brute_mais(graph) == scalar_brute_mais(graph), graph.known
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_brute_mais_matches_scalar_reference_small_blocks(monkeypatch, block):
+    # many blocks per table: lowest sinks among the high bits, blocks whose
+    # high bits are cyclic or have no sink, and K = c, c - 1 and c + 1
+    monkeypatch.setattr(oracles, "MAIS_BLOCK", block)
+    graphs = [snc.build_graph(inst) for inst in all_instances(9)]
+    for graph in graphs + list(random_digraphs()):
+        assert oracles.brute_mais(graph) == scalar_brute_mais(graph), (block, graph.known)
 
 
 def test_brute_mais_table_out_of_memory(monkeypatch, capsys):
