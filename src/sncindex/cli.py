@@ -198,6 +198,8 @@ def _cmd_oracle(args) -> int:
     inst = _instance(args)
     graph = snc.build_graph(inst)
     if args.which == "decodable":
+        if args.cap is not None:
+            raise ValueError("--cap does not apply to decodable")
         decodable = oracles.check_decodable(graph, codec.build_code(inst).expanded)
         ok = bool(decodable.all())
         fields = f"pass={int(decodable.sum())}/{inst.k}"

@@ -6,10 +6,10 @@ parity is an extended symbol, and the extended vector is multiplied by a
 K1 x N matrix whose cyclic windows are all invertible. Every receiver
 recovers its message by adding a minimal set of code symbols and
 cancelling the group parities it knows from side information. That
-add-only schedule is one fixed GF(2) row per receiver. All rows of a spec
-are built together, from one sliding pass of rank-one window-inverse
-updates, and cached: decode and the round-trip simulator evaluate them on
-every codeword, and the decoding plan prints them.
+add-only schedule is one fixed GF(2) row per receiver: the code symbols and
+side-info messages whose parity is its message. All rows of a spec come from
+one pass of rank-one updates over the encoder's cyclic windows and are cached;
+decode and the round-trip simulator evaluate them, and the plan prints them.
 """
 
 from __future__ import annotations
@@ -86,14 +86,13 @@ class CodeSpec:
 class DecoderRow:
     """The receiver's message as the parity of these code symbols and side-info messages.
 
-    cancelled lists the groups whose parities the symbols carry besides
-    the receiver's own; side holds their members and the rest of its group.
+    side holds the rest of the receiver's group and every member of the
+    other groups whose parities the symbols carry.
     """
 
     receiver: int
     symbols: tuple[int, ...]
     side: tuple[int, ...]
-    cancelled: tuple[int, ...]
 
 
 def _code(inst: SncInstance, groups: tuple[tuple[int, ...], ...], d1: int) -> CodeSpec:
@@ -129,44 +128,31 @@ def encode(spec: CodeSpec, x) -> np.ndarray:
     return (extend(spec, x) @ spec.air.matrix) & 1
 
 
-def _window_inverses(spec: CodeSpec):
-    """Each group j with its window's inverse as packed columns, None if singular.
-
-    j's window is the n encoder rows its receivers solve for: all but the
-    d1 groups right after j, which they cancel. Column p of the inverse is
-    the code-symbol set whose sum meets only window row p, the row of group
-    (j + d1 + 1 + p) % k1; the last column is j's own.
-    """
-    inverses = gf2.cyclic_window_inverses(gf2.pack_rows(spec.air.matrix), spec.n)
-    for s, cols in enumerate(inverses):
-        yield (s - spec.d1 - 1) % spec.k1, cols
-
-
 def _build_rows(spec: CodeSpec) -> list[DecoderRow | None]:
     n, k1 = spec.n, spec.k1
     encoder = gf2.pack_rows(spec.air.matrix)
     rows: list[DecoderRow | None] = [None] * spec.inst.k
-    for j, cols in _window_inverses(spec):
+    for s, cols in enumerate(gf2.cyclic_window_inverses(encoder, n)):
         if cols is None:
             continue
+        j = (s + n - 1) % k1  # window s ends with group j's row, and group g is at (g - s) % k1
         members = spec.groups[j]
         first, *rest = (spec.graph.known[m] for m in members)
         common = set(first).intersection(*rest)
         usable = {g for g in {spec.group_of[m] for m in common}
                   if common.issuperset(spec.groups[g])}
         coset = [cols[-1]]
-        for p in sorted((g - j - spec.d1 - 1) % k1 for g in usable):
+        for p in sorted((g - s) % k1 for g in usable):
             if p < n:
-                coset += [s ^ cols[p] for s in coset]
+                coset += [c ^ cols[p] for c in coset]
         # fewest symbols, then the lexicographically smallest index tuple:
         # index 0 is the top bit, so that is the largest int
-        best = min(coset, key=lambda s: (s.bit_count(), -s))
+        best = min(coset, key=lambda c: (c.bit_count(), -c))
         symbols = tuple(t for t, bit in enumerate(format(best, f"0{n}b")) if bit == "1")
-        cancelled = tuple(g for g in sorted(usable) if (encoder[g] & best).bit_count() & 1)
-        known = [msg for g in cancelled for msg in spec.groups[g]]
+        known = [m for g in usable if (encoder[g] & best).bit_count() & 1 for m in spec.groups[g]]
         for rec in members:
             own = [msg for msg in members if msg != rec]
-            rows[rec] = DecoderRow(rec, symbols, tuple(sorted(own + known)), cancelled)
+            rows[rec] = DecoderRow(rec, symbols, tuple(sorted(own + known)))
     return rows
 
 
@@ -179,13 +165,13 @@ def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
     sets whose sum is group j plus usable groups only are
     w + span{inv[:, p]}: inv is the window inverse, w its last column and
     p the window positions of usable groups. The row adds the smallest set
-    of that coset, ordered by size and then lexicographically, and cancels
-    the usable groups whose encoder row meets it an odd number of times;
-    the other members of j are stripped last. The first call builds every
-    receiver's row in one pass over the cyclic windows, each inverse a
-    rank-one update of the one before (gf2.cyclic_window_inverses), and
-    the spec keeps them. decode, roundtrip_sim and extract_plan all read
-    these rows.
+    of that coset, ordered by size and then lexicographically; its side
+    messages are the other members of j and of the usable groups whose
+    encoder row meets that set an odd number of times. The first call
+    builds every receiver's row in one pass over the cyclic windows, each
+    inverse a rank-one update of the one before, window s ending with group
+    (s + n - 1) % k1 (gf2.cyclic_window_inverses); the spec keeps the rows
+    that decode, roundtrip_sim and extract_plan read.
     """
     row = spec._rows[k]
     if row is None:
@@ -210,7 +196,8 @@ def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
         raise SideInfoMismatchError(
             f"side information must cover exactly the known set of receiver {k}"
         )
-    if any(v not in (0, 1) for v in side.values()):
+    ints = all(issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, side.values())))
+    if not (ints and set(side.values()) <= {0, 1}):
         raise ValueError("side information values must be bits")
     row = decoder_row(spec, k)
     bit = int(cc.take(row.symbols).sum() & 1)

@@ -24,8 +24,7 @@ class DecoderTable:
     """Every receiver's GF(p) decoder; see decoder_table."""
 
     rows: np.ndarray
-    side: np.ndarray
-    known_side: tuple[list[int], ...]  # side[k] at graph.known[k]: what mds_decode sums
+    side: tuple[list[int], ...]  # side[k][i] is L_k(graph.known[k][i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,20 +80,19 @@ def _build_table(spec: MdsCodeSpec) -> DecoderTable:
     """Build every receiver's decoder in one pass.
 
     rows[k] holds the coefficients, lowest power first, of the polynomial
-    L_k that is 1 at k and 0 at k's other unknown points; side[k, j] is
-    L_k(j) where k knows j, else 0. With c = x G, rows[k] . c sums
-    L_k(i) x_i, so x_k = rows[k] . c - side[k] . x for every message x.
+    L_k that is 1 at k and 0 at k's other unknown points; side[k][i] is
+    L_k(known[k][i]). With c = x G, rows[k] . c sums L_k(i) x_i, so
+    x_k = rows[k] . c - side[k] . x[known[k]] for every message x.
     All K polynomials are multiplied out together, one factor (z - a) per
     step with a the next unknown point of each receiver; one product with
     the generator then evaluates them at every message index, and the
     value at k is the scale that makes L_k(k) = 1.
     """
     k, n, p = spec.inst.k, spec.n, spec.pf.p
-    ids = np.arange(k)
     known = np.array(spec.graph.known, dtype=np.intp)
-    unknown = np.ones((k, k), dtype=bool)
-    unknown[ids[:, None], known] = False
-    points = np.nonzero(unknown & ~np.eye(k, dtype=bool))[1].reshape(k, n - 1)
+    unknown = ~np.eye(k, dtype=bool)
+    np.put_along_axis(unknown, known, False, axis=1)
+    points = np.nonzero(unknown)[1].reshape(k, n - 1)
     coef = np.zeros((n, k), dtype=np.int64)  # coef[t, r]: z**t in receiver r's polynomial
     coef[0] = 1
     for s, a in enumerate(points.T):
@@ -104,37 +102,35 @@ def _build_table(spec: MdsCodeSpec) -> DecoderTable:
     values = (spec.generator @ coef).T % p
     scale = np.array([spec.pf.inv(v) for v in values.diagonal().tolist()], dtype=np.int64)
     rows = (coef * scale % p).T.copy()
-    side = np.where(unknown, 0, values * scale[:, None] % p)
-    rows.flags.writeable = side.flags.writeable = False
-    return DecoderTable(rows, side, tuple(side[ids[:, None], known].tolist()))
+    rows.flags.writeable = False
+    side = np.take_along_axis(values, known, axis=1) * scale[:, None] % p
+    return DecoderTable(rows, tuple(side.tolist()))
 
 
 def certify(spec: MdsCodeSpec) -> int | None:
     """The first receiver whose decoder is not exact, or None when every one is.
 
-    Receiver k outputs rows[k] . c - known_side[k] . x[known[k]] with
-    c = x G. That is x_k for all p^K messages iff row k of
-    (rows G^T - side) mod p is row k of the identity, side[k] is 0 outside
-    k's known set, and known_side[k], what mds_decode sums, is side[k] at
-    known[k].
+    Receiver k outputs rows[k] . c - side[k] . x[known[k]] with c = x G.
+    That is x_k for all p^K messages iff side[k] has one entry per known
+    message and row k of rows G^T = I + S (mod p), where S puts side[k]
+    at known[k] and 0 elsewhere.
     """
     table = decoder_table(spec)
     k, p = spec.inst.k, spec.pf.p
-    ids = np.arange(k)[:, None]
-    known = np.array(spec.graph.known, dtype=np.intp)
-    outside = np.ones((k, k), dtype=bool)
-    outside[ids, known] = False
-    product = (table.rows @ spec.generator.T - table.side) % p
-    bad = (product != np.eye(k, dtype=np.int64)).any(axis=1)
-    bad |= (outside & (table.side != 0)).any(axis=1)
-    at_known = table.side[ids, known].tolist()
-    bad |= [ks != s for ks, s in zip(table.known_side, at_known, strict=True)]
+    dense = np.zeros((k, k), dtype=np.int64)
+    bad = np.zeros(k, dtype=bool)
+    for rec, (known, coefs) in enumerate(zip(spec.graph.known, table.side, strict=True)):
+        if len(coefs) == len(known):
+            dense[rec, list(known)] = coefs
+        else:
+            bad[rec] = True
+    bad |= ((table.rows @ spec.generator.T - dense) % p != np.eye(k, dtype=np.int64)).any(axis=1)
     failing = np.flatnonzero(bad)
     return int(failing[0]) if failing.size else None
 
 
 def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
-    """Receiver k's message: rows[k] . c minus the side term, mod p.
+    """Receiver k's message: rows[k] . c minus side[k] . the side values at known[k], mod p.
 
     Codeword symbols are reduced mod p before the product, so any int64
     representative decodes alike. Side values are taken as integers
@@ -163,7 +159,7 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     if last[0] != key:
         last = spec._evaluated[0] = (key, (table.rows @ (cc % p) % p).tolist())
     try:
-        known_part = sum(map(mul, table.known_side[k], map(index, map(side.__getitem__, known))))
+        known_part = sum(map(mul, table.side[k], map(index, map(side.__getitem__, known))))
     except KeyError:
         raise _side_error(k) from None
     except TypeError:

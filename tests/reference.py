@@ -130,25 +130,32 @@ def prime_rank(field: gfp.PrimeField, a) -> int:
     return r
 
 
+def dense_side(spec: mds.MdsCodeSpec, table: mds.DecoderTable) -> np.ndarray:
+    """The K x K matrix S with table.side[k] at graph.known[k] and 0 elsewhere.
+
+    Receiver k's output is rows[k] . c - S[k] . x, so whole blocks of
+    trials decode at once as (C rows^T - X S^T) mod p.
+    """
+    k = spec.inst.k
+    out = np.zeros((k, k), dtype=np.int64)
+    for rec, js in enumerate(spec.graph.known):
+        out[rec, list(js)] = table.side[rec]
+    return out
+
+
 def mds_table_certified(spec: mds.MdsCodeSpec, table: mds.DecoderTable) -> bool:
     """Whether the table decodes every one of the p^K messages.
 
-    Receiver k outputs rows[k] . c - side[k] . x with c = x G, which is
-    x . (G rows[k] - side[k]). That equals x_k for every x iff
-    (rows G^T - side) mod p is the identity, and the receiver reads only
-    messages it knows iff side[k] is 0 outside its known set. mds_decode
-    sums known_side[k], which must be side[k] at k's known messages.
+    Receiver k outputs rows[k] . c - side[k] . x[known[k]] with c = x G,
+    which is x . (G rows[k] - S[k]) for S = dense_side. That equals x_k
+    for every x iff side[k] has one coefficient per known message and
+    rows G^T = I + S (mod p).
     """
     k, p = spec.inst.k, spec.pf.p
-    known = np.zeros((k, k), dtype=bool)
-    for rec, js in enumerate(spec.graph.known):
-        known[rec, list(js)] = True
-    exact = (table.rows @ spec.generator.T - table.side) % p == np.eye(k, dtype=np.int64)
-    summed = all(
-        table.known_side[rec] == [int(table.side[rec, j]) for j in js]
-        for rec, js in enumerate(spec.graph.known)
-    )
-    return bool(exact.all()) and not table.side[~known].any() and summed
+    if [len(coefs) for coefs in table.side] != [len(js) for js in spec.graph.known]:
+        return False
+    product = (table.rows @ spec.generator.T - dense_side(spec, table)) % p
+    return bool((product == np.eye(k, dtype=np.int64)).all())
 
 
 def exists_rank_at_most(known, r: int, row0: list[int]) -> bool:

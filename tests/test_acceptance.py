@@ -14,7 +14,7 @@ import pytest
 from sncindex import air, codec, gf2, mds, oracles, snc
 from sncindex.cli import main, truncated_rate
 
-from reference import all_instances
+from reference import all_instances, dense_side
 
 GOLDEN = Path(__file__).parent / "data" / "rate_table_golden.tsv"
 
@@ -180,8 +180,8 @@ def test_criterion_10_mds_baseline(mds_specs_k40):
         rng = np.random.default_rng(inst.k * 100_000 + inst.d * 100 + inst.u)
         x = np.array([rng.integers(0, spec.pf.p, size=inst.k) for _ in range(50)])
         c = np.array([mds.mds_encode(spec, trial) for trial in x])
-        # every receiver of every trial at once: x_k = rows[k] . c - side[k] . x
-        decoded = (c @ table.rows.T - x @ table.side.T) % spec.pf.p
+        # every receiver of every trial at once: x_k = rows[k] . c - S[k] . x
+        decoded = (c @ table.rows.T - x @ dense_side(spec, table).T) % spec.pf.p
         assert (decoded == x).all(), inst
         first = x[0].tolist()
         for rec in range(inst.k):

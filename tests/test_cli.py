@@ -160,8 +160,10 @@ def test_decode_rejects_bad_mask(capsys):
      "error: K=63: the 2^K subset table does not fit in memory\n"),
     (("oracle", "mais", "--k", "64", "--d", "3", "--u", "1", "--cap", "64"),
      "error: K=64: the 2^K subset table does not fit in memory\n"),
+    (("oracle", "decodable", "--k", "20", "--d", "9", "--u", "2", "--cap", "1"),
+     "error: --cap does not apply to decodable\n"),
 ], ids=["encode-length", "decode-sideinfo", "mds-encode-negative", "mds-encode-beyond-int64",
-        "mds-encode-and-compare", "mais-k63", "mais-k64"])
+        "mds-encode-and-compare", "mais-k63", "mais-k64", "decodable-cap"])
 def test_validation_errors_exit_1(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
 
@@ -328,13 +330,14 @@ def test_main_calls_in_one_process_match_fresh_processes(capsys):
 @pytest.mark.parametrize("argv,target,exc", [
     (("decode", "--k", "20", "--d", "9", "--u", "2", "--receiver", "4", "--code", "10000",
       "--sideinfo", "??11?100101101??????"), "decode", codec.SystemSingularError),
-    (("plan", "--k", "20", "--d", "9", "--u", "2"), "_window_inverses", codec.SystemSingularError),
+    (("plan", "--k", "20", "--d", "9", "--u", "2"), "gf2.cyclic_window_inverses",
+     codec.SystemSingularError),
     (("verify", "--k", "20", "--d", "9", "--u", "2"), "build_code", codec.SystemSingularError),
 ])
 def test_construction_faults_exit_2(capsys, monkeypatch, argv, target, exc):
     def fault(*args, **kwargs):
         raise exc("construction fault")
 
-    monkeypatch.setattr(codec, target, fault)
+    monkeypatch.setattr(f"sncindex.codec.{target}", fault)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: construction fault\n")

@@ -144,6 +144,21 @@ def test_decode_side_info_mismatch(spec20):
         codec.decode(spec20, 0, c, side)
 
 
+def test_decode_rejects_side_values_that_are_not_integer_bits(spec20):
+    # Python and numpy ints and bools decode; floats, strings and non-bits are ValueErrors
+    x = np.random.default_rng(59).integers(0, 2, size=20, dtype=np.uint8)
+    c = codec.encode(spec20, x)
+    for rec in (0, 4, 19):
+        for kind in (int, bool, np.uint8, np.int64, np.bool_):
+            side = {j: kind(x[j]) for j in spec20.graph.known[rec]}
+            assert codec.decode(spec20, rec, c, side) == x[rec]
+        for bad in (1.0, 0.0, np.float64(0), np.float64(1), 2, -1, "1", None):
+            side = side_of(spec20.graph, x, rec)
+            side[next(iter(side))] = bad
+            with pytest.raises(ValueError, match="^side information values must be bits$"):
+                codec.decode(spec20, rec, c, side)
+
+
 def test_single_sum_code():
     spec = codec.build_code(snc.SncInstance(5, 3, 1))
     assert (spec.k1, spec.d1, spec.n) == (1, 0, 1)
@@ -188,14 +203,19 @@ def test_plan_reproduces_known_table(spec20):
     ]
 
 
+def cancelled(spec, row):
+    # the groups whose parities the row's symbols carry besides the receiver's own
+    return tuple(sorted({spec.group_of[m] for m in row.side} - {spec.group_of[row.receiver]}))
+
+
 def eval_plan_entry(spec, entry, x, c):
-    # add the listed code symbols, cancel the listed group parities, strip the own group
+    # add the listed code symbols, cancel the other groups they carry, strip the own group
     k = entry.receiver
     j = spec.group_of[k]
     acc = 0
     for t in entry.symbols:
         acc ^= int(c[t])
-    for g in entry.cancelled:
+    for g in cancelled(spec, entry):
         for msg in spec.groups[g]:
             acc ^= int(x[msg])
     for msg in spec.groups[j]:
@@ -214,7 +234,7 @@ def test_plan_soundness(spec20):
         for entry in plan.entries:
             # everything a plan touches must be available to that receiver
             known = set(graph.known[entry.receiver])
-            for g in entry.cancelled:
+            for g in cancelled(spec20, entry):
                 assert set(spec20.groups[g]) <= known
             assert eval_plan_entry(spec20, entry, x, c) == x[entry.receiver]
 
@@ -243,13 +263,13 @@ def assert_plan_certificate(spec, plan):
     # and it knows every message of those
     for e in plan.entries:
         odd = spec.air.matrix[:, list(e.symbols)].sum(axis=1) & 1
-        assert set(np.flatnonzero(odd)) == {spec.group_of[e.receiver], *e.cancelled}
-        for g in e.cancelled:
+        assert set(np.flatnonzero(odd)) == {spec.group_of[e.receiver], *cancelled(spec, e)}
+        for g in cancelled(spec, e):
             assert set(spec.groups[g]) <= set(spec.graph.known[e.receiver])
 
 
-def plan_triples(plan):
-    return [(e.receiver, e.symbols, e.cancelled) for e in plan.entries]
+def plan_triples(spec, plan):
+    return [(e.receiver, e.symbols, cancelled(spec, e)) for e in plan.entries]
 
 
 def test_plan_matches_subset_search_up_to_k40(specs_k40):
@@ -257,7 +277,7 @@ def test_plan_matches_subset_search_up_to_k40(specs_k40):
         k, d, u = spec.inst.k, spec.inst.d, spec.inst.u
         plan = codec.extract_plan(spec)
         if subset_search_bounded(k, d, u):
-            assert plan_triples(plan) == subset_search_plan(spec), spec.inst
+            assert plan_triples(spec, plan) == subset_search_plan(spec), spec.inst
         else:  # too slow for the reference: check soundness instead
             assert_plan_certificate(spec, plan)
 
@@ -278,7 +298,7 @@ def short_code_instances(draw, k_max, n_max):
 def test_plan_matches_subset_search_property(inst):
     spec = codec.code_for(inst)
     assert spec.n <= 12
-    assert plan_triples(codec.extract_plan(spec)) == subset_search_plan(spec)
+    assert plan_triples(spec, codec.extract_plan(spec)) == subset_search_plan(spec)
 
 
 def assert_decoder_certificate(spec):
@@ -292,8 +312,8 @@ def assert_decoder_certificate(spec):
         row = codec.decoder_row(spec, rec)
         assert row.symbols == plan.entries[rec].symbols, (spec.inst, rec)
         own = [m for m in spec.groups[spec.group_of[rec]] if m != rec]
-        cancelled = [m for g in row.cancelled for m in spec.groups[g]]
-        assert sorted(row.side) == sorted(own + cancelled), (spec.inst, rec)
+        carried = [m for g in cancelled(spec, row) for m in spec.groups[g]]
+        assert sorted(row.side) == sorted(own + carried), (spec.inst, rec)
         assert set(row.side) <= set(spec.graph.known[rec]), (spec.inst, rec)
         acc = 0
         for t in row.symbols:
@@ -314,15 +334,15 @@ def test_decoder_rows_certified_paper_table(u):
 
 
 def test_certificate_rejects_wrong_solver_column(monkeypatch):
-    inverses = codec._window_inverses
+    inverses = gf2.cyclic_window_inverses
 
-    def flipped(spec):
-        for j, cols in inverses(spec):
-            if j == 3:
-                cols = [*cols[:-1], cols[-1] ^ 1 << (spec.n - 1)]
-            yield j, cols
+    def flipped(rows, n):
+        for s, cols in enumerate(inverses(rows, n)):
+            if (s + n - 1) % len(rows) == 3:  # the window that ends with group 3
+                cols = [*cols[:-1], cols[-1] ^ 1 << (n - 1)]
+            yield cols
 
-    monkeypatch.setattr(codec, "_window_inverses", flipped)
+    monkeypatch.setattr(gf2, "cyclic_window_inverses", flipped)
     with pytest.raises(AssertionError):
         assert_decoder_certificate(codec.build_code(K20))
 

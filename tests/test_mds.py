@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sncindex import mds, snc
 
-from reference import mds_table_certified, prime_rank, random_instances
+from reference import dense_side, mds_table_certified, prime_rank, random_instances
 
 
 def side_of(graph, x, k):
@@ -166,16 +166,19 @@ def test_decoder_row_is_the_inverse_row(k, d, u):
     # the Lagrange coefficients equal the generic inverse of the unknown window
     spec = mds.build_mds(snc.SncInstance(k, d, u))
     table = mds.decoder_table(spec)
-    assert table.rows.shape == (k, spec.n) and table.side.shape == (k, k)
+    assert table.rows.shape == (k, spec.n)
+    assert [len(coefs) for coefs in table.side] == [d + u] * k
     assert mds_table_certified(spec, table) and mds.certify(spec) is None
     for rec in range(k):
         unknown = sorted(set(range(k)).difference(spec.graph.known[rec]))
         inverse = spec.pf.invert(spec.generator[unknown].T)
         assert table.rows[rec].tolist() == inverse[unknown.index(rec)].tolist()
-        assert table.known_side[rec] == table.side[rec, list(spec.graph.known[rec])].tolist()
+        # side[rec][i] is L_rec at known[rec][i]: rows[rec] . (row i of G)
+        at_known = spec.generator[list(spec.graph.known[rec])] @ table.rows[rec] % spec.pf.p
+        assert table.side[rec] == at_known.tolist()
 
 
-@pytest.mark.parametrize("which", ["rows", "side", "known_side"])
+@pytest.mark.parametrize("which", ["rows", "side"])
 def test_certificate_rejects_a_changed_coefficient(which, monkeypatch):
     # certify names the receiver whose entry changed; the reference agrees
     spec = mds.build_mds(snc.SncInstance(13, 3, 1))
@@ -183,10 +186,10 @@ def test_certificate_rejects_a_changed_coefficient(which, monkeypatch):
     assert mds_table_certified(spec, table) and mds.certify(spec) is None
     rng = np.random.default_rng(41)
     for _ in range(20):
-        if which == "known_side":
-            changed = [list(row) for row in table.known_side]
+        if which == "side":
+            changed = tuple(list(coefs) for coefs in table.side)
         else:
-            changed = getattr(table, which).copy()
+            changed = table.rows.copy()
         r, j = int(rng.integers(0, 13)), int(rng.integers(0, len(changed[0])))
         changed[r][j] = (changed[r][j] + int(rng.integers(1, spec.pf.p))) % spec.pf.p
         bad = replace(table, **{which: changed})
@@ -195,14 +198,30 @@ def test_certificate_rejects_a_changed_coefficient(which, monkeypatch):
         assert mds.certify(replace(spec)) == r
 
 
+@pytest.mark.parametrize("k,d,u,grow", [(13, 3, 1, True), (13, 3, 1, False), (5, 0, 0, True)],
+                         ids=["13-3-1-grow", "13-3-1-drop", "5-0-0-grow"])
+def test_certificate_names_a_side_list_of_wrong_length(k, d, u, grow, monkeypatch):
+    # a trailing 0 leaves the identity intact and mds_decode's sum alike,
+    # but the list no longer has one coefficient per known message
+    spec = mds.build_mds(snc.SncInstance(k, d, u))
+    table = mds.decoder_table(spec)
+    for r in (0, k // 2, k - 1):
+        side = list(table.side)
+        side[r] = side[r] + [0] if grow else side[r][:-1]
+        bad = replace(table, side=tuple(side))
+        assert not mds_table_certified(spec, bad)
+        monkeypatch.setattr(mds, "_build_table", lambda s: bad)
+        assert mds.certify(replace(spec)) == r
+
+
 @pytest.mark.parametrize("k,d,u", [(7, 2, 1), (20, 9, 2), (31, 0, 0), (12, 6, 5)])
 def test_decode_matches_batched_product(k, d, u):
-    # x_hat = (C rows^T - X side^T) mod p decodes every receiver of every trial
+    # x_hat = (C rows^T - X S^T) mod p decodes every receiver of every trial
     spec = mds.build_mds(snc.SncInstance(k, d, u))
     table = mds.decoder_table(spec)
     x = np.random.default_rng(k * 100 + d * 10 + u).integers(0, spec.pf.p, size=(25, k))
     c = np.array([mds.mds_encode(spec, row) for row in x])
-    batch = (c @ table.rows.T - x @ table.side.T) % spec.pf.p
+    batch = (c @ table.rows.T - x @ dense_side(spec, table).T) % spec.pf.p
     assert (batch == x).all()
     for t in range(len(x)):
         for rec in range(k):
@@ -219,7 +238,7 @@ def test_decode_matches_batched_product_up_to_k40(mds_specs_k40):
         rng = np.random.default_rng(inst.k * 10_000 + inst.d * 100 + inst.u)
         x = rng.integers(0, p, size=inst.k)
         c = mds.mds_encode(spec, x)
-        batch = ((table.rows @ c - table.side @ x) % p).tolist()
+        batch = ((table.rows @ c - dense_side(spec, table) @ x) % p).tolist()
         shifted = c + p * rng.integers(-(2**62 // p), 2**62 // p, size=spec.n)
         msgs = x.tolist()
         got = [mds.mds_decode(spec, rec, shifted, {j: msgs[j] for j in known})
@@ -236,7 +255,7 @@ def test_replaced_copy_derives_its_own_table():
     x = np.random.default_rng(43).integers(0, copy.pf.p, size=9)
     c = mds.mds_encode(copy, x)
     # the same codeword decoded on both specs, interleaved: each evaluates its own rows
-    want = (table.rows @ c - table.side @ x) % spec.pf.p
+    want = (table.rows @ c - dense_side(spec, table) @ x) % spec.pf.p
     for rec in range(9):
         side = side_of(copy.graph, x, rec)
         assert mds.mds_decode(copy, rec, c, side) == x[rec]

@@ -503,15 +503,16 @@ def wrong_solver_spec(inst, *groups):
     # last) has one flipped entry in the given groups: wrong answers, no
     # singular window
     spec = codec.build_code(inst)
-    inverses = codec._window_inverses
+    inverses = gf2.cyclic_window_inverses
 
-    def flipped(spec):
-        for j, cols in inverses(spec):
+    def flipped(rows, n):
+        for s, cols in enumerate(inverses(rows, n)):
+            j = (s + n - 1) % len(rows)  # the group whose window this is
             if j in groups:
-                cols = [*cols[:-1], cols[-1] ^ 1 << (spec.n - 1 - j % spec.n)]
-            yield j, cols
+                cols = [*cols[:-1], cols[-1] ^ 1 << (n - 1 - j % n)]
+            yield cols
 
-    with mock.patch.object(codec, "_window_inverses", flipped):
+    with mock.patch.object(gf2, "cyclic_window_inverses", flipped):
         for k in range(inst.k):
             codec.decoder_row(spec, k)
     return spec
