@@ -5,11 +5,12 @@ shorter), or into one group of all K when U + D = K - 1; each group's
 parity is an extended symbol, and the extended vector is multiplied by a
 K1 x N matrix whose cyclic windows are all invertible. Every receiver
 recovers its message by adding a minimal set of code symbols and
-cancelling the group parities it knows from side information. That
-add-only schedule is one fixed GF(2) row per receiver: the code symbols and
-side-info messages whose parity is its message. All rows of a spec come from
-one pass of rank-one updates over the encoder's cyclic windows and are cached;
-decode and the round-trip simulator evaluate them, and the plan prints them.
+cancelling group parities it knows: the d1 groups right after its own and
+at most one more. That add-only schedule is one fixed GF(2) row per
+receiver: the code symbols and side-info messages whose parity is its
+message. All rows of a spec come from one pass of rank-one updates over
+the encoder's cyclic windows and are cached; decode and the round-trip
+simulator evaluate them, and the plan prints them.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ class CodeSpec:
     """Everything a transmitter and its receivers need for one instance.
 
     groups[j] lists the consecutive message indices whose parity is
-    extended symbol j, and the receivers of group j cancel the d1 groups
-    right after it. Everything else is derived from the fields on first
-    use, so a spec copied with another air matrix derives its own:
-    expanded replicates row group_of[k] of the encoding matrix so that the
-    codeword is also a direct product with the raw message vector.
+    extended symbol j, as build_code groups them; the receivers of group j
+    cancel the d1 groups after it and at most one more (decoder_row).
+    Everything else is derived from the fields on first use, so a spec
+    copied with another air matrix derives its own: expanded replicates
+    row group_of[k] of the encoding matrix so that the codeword is also a
+    direct product with the raw message vector.
     """
 
     inst: SncInstance
@@ -95,19 +97,15 @@ class DecoderRow:
     side: tuple[int, ...]
 
 
-def _code(inst: SncInstance, groups: tuple[tuple[int, ...], ...], d1: int) -> CodeSpec:
-    # one encoder row per group; each receiver's window leaves out the d1 it cancels
-    k1 = len(groups)
-    return CodeSpec(inst, groups, d1, build_air(k1, k1 - d1), build_graph(inst))
-
-
 def build_code(inst: SncInstance) -> CodeSpec:
-    """Groups of U+1, or one group of all K at U + D = K - 1; length is snc.code_length."""
-    k, size = inst.k, inst.u + 1
-    if inst.full_side_info:
-        return _code(inst, (tuple(range(k)),), 0)
-    groups = tuple(tuple(range(s, min(s + size, k))) for s in range(0, k, size))
-    return _code(inst, groups, (inst.d - inst.u) // size)
+    """Groups of U+1, or one group of all K at U + D = K - 1; length is snc.code_length.
+
+    decoder_row's cancellation rule holds for these groupings only."""
+    size = inst.k if inst.full_side_info else inst.u + 1
+    groups = tuple(tuple(range(s, min(s + size, inst.k))) for s in range(0, inst.k, size))
+    d1 = 0 if inst.full_side_info else (inst.d - inst.u) // size
+    # one encoder row per group; each receiver's window leaves out the d1 it cancels
+    return CodeSpec(inst, groups, d1, build_air(len(groups), len(groups) - d1), build_graph(inst))
 
 
 #: Second name of build_code, kept for callers written against it.
@@ -129,27 +127,22 @@ def encode(spec: CodeSpec, x) -> np.ndarray:
 
 
 def _build_rows(spec: CodeSpec) -> list[DecoderRow | None]:
-    n, k1 = spec.n, spec.k1
+    n, k1, groups = spec.n, spec.k1, spec.groups
     encoder = gf2.pack_rows(spec.air.matrix)
     rows: list[DecoderRow | None] = [None] * spec.inst.k
     for s, cols in enumerate(gf2.cyclic_window_inverses(encoder, n)):
         if cols is None:
             continue
-        j = (s + n - 1) % k1  # window s ends with group j's row, and group g is at (g - s) % k1
-        members = spec.groups[j]
-        first, *rest = (spec.graph.known[m] for m in members)
-        common = set(first).intersection(*rest)
-        usable = {g for g in {spec.group_of[m] for m in common}
-                  if common.issuperset(spec.groups[g])}
-        coset = [cols[-1]]
-        for p in sorted((g - s) % k1 for g in usable):
-            if p < n:
-                coset += [c ^ cols[p] for c in coset]
+        j = (s + n - 1) % k1  # window s opens with group s and ends with group j
+        members = groups[j]
+        opener = n > 1 and (groups[s][-1] - members[0]) % spec.inst.k <= spec.inst.d
+        coset = [cols[-1], cols[-1] ^ cols[0]] if opener else [cols[-1]]
         # fewest symbols, then the lexicographically smallest index tuple:
         # index 0 is the top bit, so that is the largest int
         best = min(coset, key=lambda c: (c.bit_count(), -c))
         symbols = tuple(t for t, bit in enumerate(format(best, f"0{n}b")) if bit == "1")
-        known = [m for g in usable if (encoder[g] & best).bit_count() & 1 for m in spec.groups[g]]
+        usable = ((j + i) % k1 for i in range(1, spec.d1 + 1 + opener))
+        known = [m for g in usable if (encoder[g] & best).bit_count() & 1 for m in groups[g]]
         for rec in members:
             own = [msg for msg in members if msg != rec]
             rows[rec] = DecoderRow(rec, symbols, tuple(sorted(own + known)))
@@ -159,25 +152,30 @@ def _build_rows(spec: CodeSpec) -> list[DecoderRow | None]:
 def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
     """Receiver k's minimal add-only schedule as one fixed GF(2) row.
 
-    The usable cancellations of k's group j are the other groups fully
-    known to every receiver of j; they include the d1 groups right after
-    j, and every other encoder row lies in j's window. So the code-symbol
-    sets whose sum is group j plus usable groups only are
-    w + span{inv[:, p]}: inv is the window inverse, w its last column and
-    p the window positions of usable groups. The row adds the smallest set
-    of that coset, ordered by size and then lexicographically; its side
-    messages are the other members of j and of the usable groups whose
-    encoder row meets that set an odd number of times. The first call
-    builds every receiver's row in one pass over the cyclic windows, each
-    inverse a rank-one update of the one before, window s ending with group
-    (s + n - 1) % k1 (gf2.cyclic_window_inverses); the spec keeps the rows
-    that decode, roundtrip_sim and extract_plan read.
+    k's group j = a..b can cancel the groups all its receivers know whole
+    (none at U + D = K - 1, where j is the only group). Otherwise they
+    know just b+1..a+D and b-U..a-1, two arcs with a gap between, so such
+    a group lies in one arc. The forward arc has D-(b-a) >= D-U messages:
+    it holds the d1 groups after j, which span at most d1(U+1) <= D-U,
+    and the next one, which window s opens with, iff that is not j (n > 1)
+    and ends within a+D. It never holds the group after that (unless that
+    is j): with j full the d1+2 groups after j, at most one short, span at
+    least (d1+1)(U+1)+1 > D-U, and with j the short last group they span
+    (d1+2)(U+1) > D. The backward arc has U-(b-a) messages: none when j
+    is full, fewer than the full group before j when j is short.
+    Window s holds groups s..j, n = k1 - d1 encoder rows, and every row
+    outside it is usable; so the code-symbol sets summing to group j plus
+    usable groups are the inverse's last column w, and w + inv[:, 0] if
+    group s is usable: one or two sets. The row adds the smaller, by size,
+    then lexicographically; its side messages are the rest of j and of the
+    usable groups whose encoder row meets that set an odd number of times.
+    The first call builds every receiver's row in one pass of rank-one
+    updates over the cyclic windows (gf2.cyclic_window_inverses), window s
+    ending with group (s + n - 1) % k1; the spec keeps the rows that
+    decode, roundtrip_sim and extract_plan read.
     """
-    row = spec._rows[k]
-    if row is None:
-        raise SystemSingularError(
-            f"window starting after group {spec.group_of[k]} is singular"
-        )
+    if (row := spec._rows[k]) is None:
+        raise SystemSingularError(f"window starting after group {spec.group_of[k]} is singular")
     return row
 
 
@@ -203,7 +201,7 @@ def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     bit = int(cc.take(row.symbols).sum() & 1)
     for msg in row.side:
         bit ^= side[msg]
-    return bit
+    return int(bit)  # a numpy side value makes bit a numpy scalar
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Independent ground truth: exhaustive searches and algebraic decodability.
+"""Ground truth by exhaustive search and algebra, and the code's simulator.
 
-Nothing here reuses the closed forms or the code construction; results
-are minima and memberships computed directly from definitions, so the
-rest of the package can be checked against them.
+brute_mais, brute_minrank2 and check_decodable are the independent checks:
+they compute minima and memberships from definitions alone, reusing neither
+the closed forms nor the code construction. roundtrip_sim is the
+construction's own simulator: it evaluates codec.decoder_row.
 """
 
 from __future__ import annotations

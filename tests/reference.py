@@ -1,7 +1,8 @@
 """Plain reference implementations that only the tests use.
 
 Each one follows its definition directly and shares no code path with
-the package function it checks. The instance enumerator and the
+the package function it checks, except that decoder_rows inverts the
+windows with codec's kernel: it checks the usable-group rule. The instance enumerator and the
 hypothesis strategy are the tests' one copy of the validity rule
 K >= 2, 0 <= U <= D, U + D <= K - 1.
 """
@@ -35,27 +36,70 @@ def random_instances(draw, k_max):
     return snc.SncInstance(k, d, u)
 
 
+def usable_groups(spec: codec.CodeSpec) -> list[set[int]]:
+    """For each group j, the other groups fully known to every receiver of j.
+
+    The members' known sets from graph.known are intersected, and a group
+    is usable when that intersection holds all of it. It never holds a
+    member of j, since no receiver knows its own message.
+    """
+    usable = []
+    for members in spec.groups:
+        first, *rest = (spec.graph.known[m] for m in members)
+        common = set(first).intersection(*rest)
+        usable.append({g for g in {spec.group_of[m] for m in common}
+                       if common.issuperset(spec.groups[g])})
+    return usable
+
+
+def decoder_rows(spec: codec.CodeSpec) -> list[codec.DecoderRow | None]:
+    """Every receiver's decoder row, with the usable groups from usable_groups.
+
+    The symbol sets that isolate group j are the last column of window s's
+    inverse plus any sum of the columns at the window positions of j's
+    usable groups; the row adds the smallest, by size and then
+    lexicographically, and cancels the usable groups its symbols carry.
+    None marks the receivers of a singular window. The usable groups come
+    from graph.known for any grouping, so this checks codec's cancellation
+    rule, which holds for build_code's groupings only.
+    """
+    n, k1 = spec.n, spec.k1
+    encoder = gf2.pack_rows(spec.air.matrix)
+    usable_of = usable_groups(spec)
+    rows: list[codec.DecoderRow | None] = [None] * spec.inst.k
+    for s, cols in enumerate(gf2.cyclic_window_inverses(encoder, n)):
+        if cols is None:
+            continue
+        j = (s + n - 1) % k1  # window s ends with group j's row, and group g is at (g - s) % k1
+        members = spec.groups[j]
+        usable = usable_of[j]
+        coset = [cols[-1]]
+        for p in sorted((g - s) % k1 for g in usable):
+            if p < n:
+                coset += [c ^ cols[p] for c in coset]
+        # fewest symbols, then the lexicographically smallest index tuple:
+        # index 0 is the top bit, so that is the largest int
+        best = min(coset, key=lambda c: (c.bit_count(), -c))
+        symbols = tuple(t for t, bit in enumerate(format(best, f"0{n}b")) if bit == "1")
+        known = [m for g in usable if (encoder[g] & best).bit_count() & 1 for m in spec.groups[g]]
+        for rec in members:
+            own = [msg for msg in members if msg != rec]
+            rows[rec] = codec.DecoderRow(rec, symbols, tuple(sorted(own + known)))
+    return rows
+
+
 def subset_search_plan(spec: codec.CodeSpec) -> list[tuple[int, tuple, tuple]]:
     """Minimal add-only decoding schedules by exhaustive search.
 
-    For each group j, the usable cancellations are the groups fully known
-    to every receiver of group j. The smallest set of code symbols whose
-    column sum hits group j plus only such groups is found by trying
-    subsets, ordered by size and then lexicographically. Exponential in N.
+    For each group j, the usable cancellations are usable_groups(spec)[j].
+    The smallest set of code symbols whose column sum hits group j plus
+    only such groups is found by trying subsets, ordered by size and then
+    lexicographically. Exponential in N.
     Returns (receiver, symbols, cancelled) for every receiver in order.
     """
     k1, n = spec.k1, spec.n
     cols = gf2.pack_rows(spec.air.matrix.T)
-    group_sets = [frozenset(g) for g in spec.groups]
-
-    fully_known: list[set[int]] = []
-    for j in range(k1):
-        shared = None
-        for k in spec.groups[j]:
-            known = set(spec.graph.known[k])
-            mine = {i for i in range(k1) if i != j and group_sets[i] <= known}
-            shared = mine if shared is None else shared & mine
-        fully_known.append(shared or set())
+    fully_known = usable_groups(spec)
 
     group_plans: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for j in range(k1):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sncindex import codec, gf2, snc
 
-from reference import random_instances, subset_search_bounded, subset_search_plan
+from reference import decoder_rows, random_instances, subset_search_bounded, subset_search_plan
 
 K20 = snc.SncInstance(20, 9, 2)
 
@@ -145,13 +145,15 @@ def test_decode_side_info_mismatch(spec20):
 
 
 def test_decode_rejects_side_values_that_are_not_integer_bits(spec20):
-    # Python and numpy ints and bools decode; floats, strings and non-bits are ValueErrors
+    # Python and numpy ints and bools decode to a Python int; floats, strings
+    # and non-bits are ValueErrors
     x = np.random.default_rng(59).integers(0, 2, size=20, dtype=np.uint8)
     c = codec.encode(spec20, x)
     for rec in (0, 4, 19):
         for kind in (int, bool, np.uint8, np.int64, np.bool_):
             side = {j: kind(x[j]) for j in spec20.graph.known[rec]}
-            assert codec.decode(spec20, rec, c, side) == x[rec]
+            bit = codec.decode(spec20, rec, c, side)
+            assert type(bit) is int and bit == x[rec], kind
         for bad in (1.0, 0.0, np.float64(0), np.float64(1), 2, -1, "1", None):
             side = side_of(spec20.graph, x, rec)
             side[next(iter(side))] = bad
@@ -323,14 +325,23 @@ def assert_decoder_certificate(spec):
         assert acc == 1 << (k - 1 - rec), (spec.inst, rec)
 
 
+def assert_rows_match_reference(spec):
+    # the cancellation rule picks the same rows as the set-based usable groups
+    rows = [codec.decoder_row(spec, rec) for rec in range(spec.inst.k)]
+    assert rows == decoder_rows(spec), spec.inst
+
+
 def test_decoder_rows_certified_up_to_k40(specs_k40):
     for spec in specs_k40:
         assert_decoder_certificate(spec)
+        assert_rows_match_reference(spec)
 
 
 @pytest.mark.parametrize("u", range(1, 11))
 def test_decoder_rows_certified_paper_table(u):
-    assert_decoder_certificate(codec.build_code(snc.SncInstance(827, 23, u)))
+    spec = codec.build_code(snc.SncInstance(827, 23, u))
+    assert_decoder_certificate(spec)
+    assert_rows_match_reference(spec)
 
 
 def test_certificate_rejects_wrong_solver_column(monkeypatch):
@@ -360,4 +371,6 @@ def test_decode_recovers_every_message_property(inst, seed):
 @settings(max_examples=40, deadline=None)
 @given(inst=random_instances(2000))
 def test_decoder_rows_certified_property(inst):
-    assert_decoder_certificate(codec.code_for(inst))
+    spec = codec.code_for(inst)
+    assert_decoder_certificate(spec)
+    assert_rows_match_reference(spec)
