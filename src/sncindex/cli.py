@@ -143,6 +143,8 @@ def _corrupted(spec: codec.CodeSpec) -> codec.CodeSpec:
 def _cmd_verify(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be non-negative (got {args.trials})")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative (got {args.seed})")
     inst = _instance(args)
     spec = codec.build_code(inst)
     if args.corrupt:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
+
+_INT64 = np.dtype(np.int64)
 
 
 class SingularMatrixError(ValueError):
@@ -43,20 +46,45 @@ class PrimeField:
             raise ZeroDivisionError("0 has no inverse")
         return pow(a, self.p - 2, self.p)
 
-    def _as_elems(self, a, ndim) -> np.ndarray:
-        try:
-            arr = np.asarray(a, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(f"entries must lie in [0, {self.p})") from None
+    def elements(self, a, ndim: int, representatives: bool = False) -> np.ndarray:
+        """a as an int64 array of ndim dimensions whose entries lie in [0, p).
+
+        Entries must be integers: an ndarray needs a bool, int or uint dtype,
+        and a sequence that numpy holds in no such dtype (a float, complex or
+        str entry, or integers no one 64-bit dtype holds) is read entry by
+        entry through operator.index, so nothing is rounded, parsed or
+        wrapped. With representatives, any integer that fits in 64 bits,
+        signed or unsigned, stands for its residue instead: a uint64 array
+        is reduced mod p, and an int64 array comes back as is for the caller
+        to reduce.
+        """
+        arr = np.asarray(a)
+        if arr.dtype is _INT64:  # the common input; mds_decode runs this per call
+            pass
+        elif arr.dtype.kind in "biu":
+            reduce = representatives and arr.dtype == np.uint64
+            arr = (arr % self.p if reduce else arr).astype(np.int64)
+        elif isinstance(a, np.ndarray):
+            raise ValueError("entries must be integers")
+        else:
+            p, arr = self.p, np.asarray(a, dtype=object)
+            try:
+                ints = [index(v) for v in arr.flat]
+            except TypeError:
+                raise ValueError("entries must be integers") from None
+            if not all(-2**63 <= v < 2**64 if representatives else 0 <= v < p for v in ints):
+                raise ValueError("codeword symbols must fit in 64 bits" if representatives
+                                 else f"entries must lie in [0, {p})")
+            arr = np.array([v % p for v in ints], dtype=np.int64).reshape(arr.shape)
         if arr.ndim != ndim:
             raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
         # one reduction: viewed unsigned, a negative entry is at least p as well
-        if arr.size and arr.view(np.uint64).max() >= self.p:
+        if not representatives and arr.size and arr.view(np.uint64).max() >= self.p:
             raise ValueError(f"entries must lie in [0, {self.p})")
         return arr
 
     def invert(self, a) -> np.ndarray:
-        aa = self._as_elems(a, 2)
+        aa = self.elements(a, 2)
         n = aa.shape[0]
         if aa.shape != (n, n):
             raise ValueError("matrix must be square")

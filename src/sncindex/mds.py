@@ -65,7 +65,7 @@ def build_mds(inst: SncInstance) -> MdsCodeSpec:
 
 def mds_encode(spec: MdsCodeSpec, x) -> np.ndarray:
     """c_t = sum_i i**t * x_i mod p."""
-    xx = spec.pf._as_elems(x, 1)
+    xx = spec.pf.elements(x, 1)
     if xx.shape[0] != spec.inst.k:
         raise ValueError(f"expected {spec.inst.k} symbols, got {xx.shape[0]}")
     return (xx @ spec.generator) % spec.pf.p
@@ -132,9 +132,11 @@ def certify(spec: MdsCodeSpec) -> int | None:
 def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     """Receiver k's message: rows[k] . c minus side[k] . the side values at known[k], mod p.
 
-    Codeword symbols are reduced mod p before the product, so any int64
-    representative decodes alike. Side values are taken as integers
-    (operator.index, so numpy ints cannot wrap) and reduced exactly.
+    The codeword goes through PrimeField.elements with representatives, and
+    its symbols are reduced mod p before the product, so any 64-bit
+    representative, signed or unsigned, decodes alike. Side values are taken
+    as integers (operator.index, so numpy ints cannot wrap; numpy bools as
+    Python bools) and reduced exactly.
 
     Every receiver of a trial decodes the same codeword, so the first call
     on a codeword evaluates all K rows in one product and keeps the values
@@ -145,11 +147,8 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     """
     if not 0 <= k < spec.inst.k:
         raise ValueError(f"receiver index {k} out of range")
-    try:
-        cc = np.asarray(c, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("codeword symbols must fit in 64 bits") from None
-    if cc.shape != (spec.n,):
+    cc = spec.pf.elements(c, 1, representatives=True)
+    if len(cc) != spec.n:
         raise ValueError(f"expected a codeword of {spec.n} symbols")
     known = spec.graph.known[k]
     if len(side) != len(known):
@@ -165,7 +164,11 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     except TypeError:
         if side.keys() != set(known):
             raise _side_error(k) from None
-        raise ValueError("side information values must be integers") from None
+        values = [bool(v) if isinstance(v, np.bool_) else v for v in map(side.__getitem__, known)]
+        try:  # numpy bools have no __index__
+            known_part = sum(map(mul, table.side[k], map(index, values)))
+        except TypeError:
+            raise ValueError("side information values must be integers") from None
     return int((last[1][k] - known_part) % p)
 
 

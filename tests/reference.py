@@ -155,7 +155,7 @@ def in_span(v, basis) -> bool:
 
 def prime_rank(field: gfp.PrimeField, a) -> int:
     """Row rank over GF(p) by Gauss-Jordan elimination."""
-    aa = field._as_elems(a, 2).copy()
+    aa = field.elements(a, 2).copy()
     p = field.p
     rows, cols = aa.shape
     r = 0

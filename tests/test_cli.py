@@ -208,6 +208,8 @@ def test_verify_trial_count(capsys):
     code, out, err = run(capsys, "verify", "--k", "5", "--d", "2", "--u", "1", "--trials", "-1")
     assert (code, out) == (1, "")
     assert err == "error: --trials must be non-negative (got -1)\n"
+    code, out, err = run(capsys, "verify", "--k", "5", "--d", "2", "--u", "1", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: --seed must be non-negative (got -1)\n")
     code, out, err = run(capsys, "verify", "--k", "5", "--d", "2", "--u", "1", "--trials", "0")
     assert (code, out, err) == (0, "roundtrip\tPASS\ttrials=0\tseed=0\ndecodable\tPASS\n", "")
 

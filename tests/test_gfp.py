@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sncindex import gfp
+from sncindex import air, codec, gf2, gfp, mds, oracles, snc
 
 from reference import prime_rank
 
@@ -81,7 +81,71 @@ def test_matrix_text_round_trip():
 def test_elements_validated(value, ok):
     f = gfp.PrimeField(11)
     if ok:
-        assert f._as_elems([0, value], 1).tolist() == [0, value]
+        assert f.elements([0, value], 1).tolist() == [0, value]
     else:
         with pytest.raises(ValueError, match=r"entries must lie in \[0, 11\)"):
-            f._as_elems([0, value], 1)
+            f.elements([0, value], 1)
+
+
+def test_elements_representatives():
+    f = gfp.PrimeField(11)
+    c = np.array([3, -1, 2**62], dtype=np.int64)
+    assert f.elements(c, 1, representatives=True) is c  # reduced by the caller
+    top = np.array([2**64 - 1, 2**63, 5], dtype=np.uint64)
+    assert f.elements(top, 1, representatives=True).tolist() == [(2**64 - 1) % 11, 2**63 % 11, 5]
+    # a list with -1 and 2**63 is float64 to numpy; read exactly, entry by entry
+    assert f.elements([-1, 2**63, 2**64 - 1], 1, representatives=True).tolist() == [
+        10, 2**63 % 11, (2**64 - 1) % 11]
+    for wide in (2**64, -2**63 - 1):
+        with pytest.raises(ValueError, match="^codeword symbols must fit in 64 bits$"):
+            f.elements([0, wide], 1, representatives=True)
+    # strict mode refuses what representatives would reduce
+    for v in (np.uint64(2**63), 2**64, np.int8(-1)):
+        with pytest.raises(ValueError, match=r"^entries must lie in \[0, 11\)$"):
+            f.elements([v], 1)
+
+
+@pytest.mark.parametrize("bad", [[1.0, 2.0], ["0", "1"], [1 + 0j, 2], np.array([1.0, 2.0]),
+                                 np.array(["0", "1"]), np.array([1, 2], dtype=object)],
+                         ids=["float-list", "str-list", "complex-list", "float-array",
+                              "str-array", "object-array"])
+def test_elements_refuse_non_integers(bad):
+    for representatives in (False, True):
+        with pytest.raises(ValueError, match="^entries must be integers$"):
+            gfp.PrimeField(11).elements(bad, 1, representatives)
+
+
+def _array_entry_points():
+    """Each public array entry point of both fields, called with all-integral
+    inputs of the given dtype."""
+    spec = codec.build_code(snc.SncInstance(5, 2, 1))
+    ms = mds.build_mds(snc.SncInstance(5, 1, 0))
+    bit_side = {j: 0 for j in spec.graph.known[0]}
+    field_side = {j: 0 for j in ms.graph.known[0]}
+    return {
+        "codec.encode": lambda dt: codec.encode(spec, np.zeros(5, dt)),
+        "codec.decode": lambda dt: codec.decode(spec, 0, np.zeros(spec.n, dt), bit_side),
+        "gf2.invert": lambda dt: gf2.invert(np.eye(2, dtype=dt)),
+        "gf2.rank": lambda dt: gf2.rank(np.eye(2, dtype=dt)),
+        "air.first_deficient_window": lambda dt: air.first_deficient_window(np.eye(2, dtype=dt)),
+        "oracles.check_decodable": lambda dt: oracles.check_decodable(spec.graph,
+                                                                      np.eye(5, dtype=dt)),
+        "mds.mds_encode": lambda dt: mds.mds_encode(ms, np.zeros(5, dt)),
+        "mds.mds_decode": lambda dt: mds.mds_decode(ms, 0, np.zeros(ms.n, dt), field_side),
+        "PrimeField.invert": lambda dt: ms.pf.invert(np.eye(2, dtype=dt)),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_array_entry_points()))
+def test_float_array_refused_at_every_entry_point(entry):
+    # the values are integral, so only the dtype is wrong
+    call = _array_entry_points()[entry]
+    call(np.int64)
+    with pytest.raises(ValueError):
+        call(np.float64)
+
+
+def test_invert_refuses_fractions():
+    # once truncated to the identity
+    with pytest.raises(ValueError, match="^entries must be integers$"):
+        gfp.PrimeField(5).invert([[1.5, 0], [0, 1.9]])

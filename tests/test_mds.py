@@ -87,6 +87,39 @@ def test_decode_reduces_any_int64_representative():
             assert mds.mds_decode(spec, rec, shifted, side_of(spec.graph, x, rec)) == x[rec]
 
 
+def test_decode_reduces_uint64_representatives():
+    # at or above 2**63 a uint64 symbol used to wrap through the int64 cast
+    spec = mds.build_mds(snc.SncInstance(5, 1, 0))
+    p, x = spec.pf.p, [1, 2, 0, 4, 3]
+    c = mds.mds_encode(spec, x).astype(np.uint64) + np.uint64(p * (2**63 // p + 1))
+    assert c.min() >= 2**63
+    for rec in range(5):
+        assert mds.mds_decode(spec, rec, c, side_of(spec.graph, x, rec)) == x[rec]
+
+
+def test_non_integer_messages_and_codewords_refused():
+    # floats were truncated, strings parsed and complex parts dropped
+    spec = mds.build_mds(snc.SncInstance(5, 1, 0))
+    with pytest.raises(ValueError, match="^entries must be integers$"):
+        mds.mds_encode(spec, [1.9, 2.2, 0.5, 4.99, 3.0])
+    c = mds.mds_encode(spec, [1, 2, 0, 4, 3])
+    side = side_of(spec.graph, [1, 2, 0, 4, 3], 0)
+    for bad in (["0", "1", "1", "2"], c.astype(complex), c.astype(str)):
+        with pytest.raises(ValueError, match="^entries must be integers$"):
+            mds.mds_decode(spec, 0, bad, side)
+
+
+def test_decode_takes_numpy_bool_side_values():
+    spec = mds.build_mds(snc.SncInstance(6, 2, 1))
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        x = rng.integers(0, 2, size=6)
+        c = mds.mds_encode(spec, x)
+        for rec in range(6):
+            side = {j: np.bool_(x[j]) for j in spec.graph.known[rec]}
+            assert mds.mds_decode(spec, rec, c, side) == x[rec]
+
+
 def test_decode_takes_side_values_as_integers():
     # numpy int64 side values shifted by a multiple of p near 2**61 wrapped the side sum
     spec = mds.build_mds(snc.SncInstance(5, 1, 0))
@@ -311,3 +344,28 @@ def test_decode_recovers_every_symbol_property(inst, seed):
     c = mds.mds_encode(spec, x)
     for k in range(inst.k):
         assert mds.mds_decode(spec, k, c, side_of(spec.graph, x, k)) == x[k]
+
+
+MESSAGE_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64, np.bool_]
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=random_instances(60), dtype=st.sampled_from(MESSAGE_DTYPES),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_integer_dtype_encodes_and_decodes_alike_property(inst, dtype, seed):
+    # messages of any integer dtype that holds them encode as their int64 copies,
+    # and uint64 representatives anywhere below 2**64 decode at every receiver
+    spec = mds.build_mds(inst)
+    p = spec.pf.p
+    rng = np.random.default_rng(seed)
+    top = 2 if dtype is np.bool_ else min(p, int(np.iinfo(dtype).max) + 1)
+    x = rng.integers(0, top, size=inst.k)
+    c = mds.mds_encode(spec, x)
+    assert mds.mds_encode(spec, x.astype(dtype)).tolist() == c.tolist()
+    shifts = rng.integers(0, (2**64 - p) // p, size=spec.n, dtype=np.uint64, endpoint=True)
+    rep = c.astype(np.uint64) + shifts * np.uint64(p)
+    assert [int(v) % p for v in rep] == c.tolist()
+    msgs = x.tolist()
+    for rec, known in enumerate(spec.graph.known):
+        assert mds.mds_decode(spec, rec, rep, {j: msgs[j] for j in known}) == msgs[rec]
