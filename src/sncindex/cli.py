@@ -216,7 +216,12 @@ def _cmd_baseline(args) -> int:
     if args.encode is not None and args.compare:
         raise ValueError("--encode and --compare cannot be combined")
     if args.encode is not None:
-        x = [int(tok) for tok in args.encode.split(",")]
+        x = []
+        for tok in args.encode.split(","):
+            try:
+                x.append(int(tok))
+            except ValueError:
+                raise ValueError(f"--encode takes comma-separated integers (got {tok!r})") from None
         c = mds.mds_encode(mds.build_mds(inst), x)
         print(",".join(str(int(v)) for v in c))
         return 0

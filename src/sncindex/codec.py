@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Mapping
 
 import numpy as np
@@ -185,6 +186,10 @@ def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     Validates the inputs, then evaluates receiver k's decoder row: the
     parity of its code symbols and side-info messages.
     """
+    try:
+        k = index(k)  # ints, numpy ints and bools, never a float
+    except TypeError:
+        raise ValueError(f"receiver index must be an integer (got {k!r})") from None
     if not 0 <= k < spec.inst.k:
         raise ValueError(f"receiver index {k} out of range")
     cc = gf2.as_bits(c, ndim=1)

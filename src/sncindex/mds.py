@@ -145,6 +145,10 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     one receiver of a fresh codeword costs a K x n product, not an n-long
     dot. No command or benchmark workload decodes that way at large K.
     """
+    try:
+        k = index(k)  # ints, numpy ints and bools, never a float
+    except TypeError:
+        raise ValueError(f"receiver index must be an integer (got {k!r})") from None
     if not 0 <= k < spec.inst.k:
         raise ValueError(f"receiver index {k} out of range")
     cc = spec.pf.elements(c, 1, representatives=True)

@@ -2,8 +2,9 @@
 
 brute_mais, brute_minrank2 and check_decodable are the independent checks:
 they compute minima and memberships from definitions alone, reusing neither
-the closed forms nor the code construction. roundtrip_sim is the
-construction's own simulator: it evaluates codec.decoder_row.
+the closed forms nor the code construction. roundtrip_sim checks the
+construction's own decoder rows (codec.decoder_row) on every message at
+once, and replays seeded trials only at receivers whose row is wrong.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
@@ -22,8 +25,6 @@ MAIS_CAP = 20
 #: masks, each one popcount layer of their low bits at a time.
 MAIS_BLOCK = 12
 MINRANK_CAP = 26
-#: Trials roundtrip_sim evaluates together, one bit of an int each.
-SIM_SLICE = 1024
 
 
 class TooLargeError(ValueError):
@@ -297,57 +298,41 @@ class SimReport:
 def roundtrip_sim(spec: codec.CodeSpec, trials: int, seed: int) -> SimReport:
     """Encode seeded random messages and decode at every receiver.
 
-    Bit-sliced: trials run SIM_SLICE at a time, each message and code
-    symbol one int whose bit t is trial t of the slice, so every
-    receiver's decoder row is evaluated on the whole slice at once.
+    Decoding is linear, so each receiver's decoder row is evaluated once,
+    on the K unit messages: message m is bit m of one int, group parities
+    and code symbols are XORs of those ints, and the row's symbols, its
+    side messages and the receiver's own message XOR to its error set.
+    An empty error set proves the row right on all 2^K messages, so such
+    receivers never fail. A singular receiver fails every trial. Only the
+    receivers with a nonempty error set replay the seeded trials, one
+    rng.integers(0, 2, size=K, dtype=np.uint8) draw each; a trial fails
+    where its message meets the error set an odd number of times.
     """
-    k = spec.inst.k
-    rng = np.random.default_rng(seed)
-    rows = []
+    k, runs = spec.inst.k, max(trials, 0)
+    parities = [reduce(xor, (1 << m for m in group), 0) for group in spec.groups]
+    code = [reduce(xor, (parities[g] for g in np.flatnonzero(c)), 0) for c in spec.air.matrix.T]
+    failures, first, errors = 0, None, {}
     for rec in range(k):
         try:
-            rows.append(codec.decoder_row(spec, rec))
+            row = codec.decoder_row(spec, rec)
         except codec.SystemSingularError as exc:
-            rows.append(f"decode error: {exc}")
-    columns = [np.flatnonzero(col).tolist() for col in spec.air.matrix.T]
-    failures = 0
-    first = None
-    for base in range(0, trials, SIM_SLICE):
-        size = min(SIM_SLICE, trials - base)
-        xs = _draw_messages(rng, size, k)
-        packed = np.packbits(xs.T, axis=1, bitorder="little")
-        msgs = [int.from_bytes(r.tobytes(), "little") for r in packed]
-        parities = [_xor(msgs[m] for m in group) for group in spec.groups]
-        code = [_xor(parities[g] for g in col) for col in columns]
-        for rec, row in enumerate(rows):
-            if isinstance(row, str):
-                wrong = (1 << size) - 1
-            else:
-                got = _xor(code[t] for t in row.symbols) ^ _xor(msgs[m] for m in row.side)
-                wrong = got ^ msgs[rec]
-            if wrong:
-                failures += wrong.bit_count()
-                t = (wrong & -wrong).bit_length() - 1
-                if first is None or (base + t, rec) < first[:2]:
-                    want = msgs[rec] >> t & 1
-                    detail = row if isinstance(row, str) else f"expected {want}, got {want ^ 1}"
-                    first = (base + t, rec, detail)
-    return SimReport(trials, seed, max(trials, 0) * k, failures, first)
-
-
-def _draw_messages(rng: np.random.Generator, trials: int, k: int) -> np.ndarray:
-    """A (trials, k) 0/1 array: the bits, and the generator state after, of
-    one rng.integers(0, 2, size=k, dtype=np.uint8) per trial.
-
-    Each such call draws ceil(k/4) uint32 words and takes the top bit of
-    each byte, low byte first, dropping what is left of its last word.
-    """
-    words = rng.integers(0, 2**32, size=(trials, -(-k // 4)), dtype=np.uint32)
-    return words.astype("<u4").view(np.uint8)[:, :k] >> 7
-
-
-def _xor(ints) -> int:
-    acc = 0
-    for v in ints:
-        acc ^= v
-    return acc
+            if runs and first is None:
+                first = (0, rec, f"decode error: {exc}")
+            failures += runs
+            continue
+        known = reduce(xor, (1 << m for m in row.side), 1 << rec)
+        err = reduce(xor, (code[t] for t in row.symbols), known)
+        if err:
+            errors[rec] = err
+    if errors:
+        rng = np.random.default_rng(seed)
+        for t in range(runs):
+            x = rng.integers(0, 2, size=k, dtype=np.uint8)
+            msgs = int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little")
+            for rec, err in errors.items():
+                if (msgs & err).bit_count() & 1:
+                    failures += 1
+                    if first is None or (t, rec) < first[:2]:
+                        want = msgs >> rec & 1
+                        first = (t, rec, f"expected {want}, got {want ^ 1}")
+    return SimReport(trials, seed, runs * k, failures, first)

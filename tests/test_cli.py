@@ -156,6 +156,12 @@ def test_decode_rejects_bad_mask(capsys):
       "1,2,3,4,99999999999999999999"), "error: entries must lie in [0, 5)\n"),
     (("baseline", "mds", "--k", "5", "--d", "1", "--u", "0", "--encode", "1,2,3,4,0",
       "--compare"), "error: --encode and --compare cannot be combined\n"),
+    (("baseline", "mds", "--k", "5", "--d", "1", "--u", "0", "--encode", ""),
+     "error: --encode takes comma-separated integers (got '')\n"),
+    (("baseline", "mds", "--k", "5", "--d", "1", "--u", "0", "--encode", "1,,2"),
+     "error: --encode takes comma-separated integers (got '')\n"),
+    (("baseline", "mds", "--k", "5", "--d", "1", "--u", "0", "--encode", "1.5,2,3,4,0"),
+     "error: --encode takes comma-separated integers (got '1.5')\n"),
     (("oracle", "mais", "--k", "63", "--d", "3", "--u", "1", "--cap", "64"),
      "error: K=63: the 2^K subset table does not fit in memory\n"),
     (("oracle", "mais", "--k", "64", "--d", "3", "--u", "1", "--cap", "64"),
@@ -163,7 +169,8 @@ def test_decode_rejects_bad_mask(capsys):
     (("oracle", "decodable", "--k", "20", "--d", "9", "--u", "2", "--cap", "1"),
      "error: --cap does not apply to decodable\n"),
 ], ids=["encode-length", "decode-sideinfo", "mds-encode-negative", "mds-encode-beyond-int64",
-        "mds-encode-and-compare", "mais-k63", "mais-k64", "decodable-cap"])
+        "mds-encode-and-compare", "mds-encode-empty", "mds-encode-empty-entry",
+        "mds-encode-fraction", "mais-k63", "mais-k64", "decodable-cap"])
 def test_validation_errors_exit_1(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
 
@@ -297,6 +304,10 @@ def test_baseline_encode(capsys):
     )
     assert code == 0
     assert out.strip() == "1,0"
+    # int() parses each entry, so spaces around one are allowed
+    spaced = run(capsys, "baseline", "mds", "--k", "5", "--d", "1", "--u", "0",
+                 "--encode", " 1, 2,3,4,0")
+    assert spaced == (0, "0,0,0,4\n", "")
 
 
 def test_commands_are_deterministic(capsys):

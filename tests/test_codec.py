@@ -124,6 +124,23 @@ def test_decode_round_trip_assorted():
                 assert codec.decode(spec, rec, c, side_of(spec.graph, x, rec)) == x[rec]
 
 
+def test_decode_receiver_index_validated(spec20):
+    x = np.zeros(20, dtype=np.uint8)
+    c = codec.encode(spec20, x)
+    cases = [
+        (20, "receiver index 20 out of range"),
+        (-1, "receiver index -1 out of range"),
+        (1.5, "receiver index must be an integer (got 1.5)"),
+        (np.float64(2.0), f"receiver index must be an integer (got {np.float64(2.0)!r})"),
+    ]
+    for k, text in cases:
+        with pytest.raises(ValueError) as info:
+            codec.decode(spec20, k, c, {})
+        assert str(info.value) == text
+    for k in (1, np.int64(1), np.uint8(1), True):
+        assert codec.decode(spec20, k, c, side_of(spec20.graph, x, 1)) == 0
+
+
 def test_decode_side_info_mismatch(spec20):
     x = np.zeros(20, dtype=np.uint8)
     c = codec.encode(spec20, x)

@@ -148,6 +148,8 @@ def test_decode_validates_every_input_in_order():
     cases = [
         ((5, c, side), "receiver index 5 out of range"),
         ((-1, [2**70] * 5, {}), "receiver index -1 out of range"),
+        ((1.5, c, side), "receiver index must be an integer (got 1.5)"),
+        ((np.float64(2.0), c, side), f"receiver index must be an integer (got {np.float64(2.0)!r})"),
         ((0, [2**70] * 5, {}), "codeword symbols must fit in 64 bits"),
         ((0, c[:-1], {}), "expected a codeword of 4 symbols"),
         ((0, c, {}), "side information must cover exactly the known set of receiver 0"),

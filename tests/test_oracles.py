@@ -8,10 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sncindex import codec, gf2, oracles, snc
 
-from reference import all_instances, exists_rank_at_most, in_span
+from reference import all_instances, exists_rank_at_most, in_span, random_instances
 
 
 def kahn_acyclic(known, vertices):
@@ -425,18 +427,6 @@ def test_check_decodable_against_span_membership():
             assert got[k] == in_span(np.eye(8, dtype=np.uint8)[k], basis)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9, 40, 827])
-def test_slice_draw_matches_per_trial_draws(k):
-    for size in [1, 7, 1024]:
-        per_trial = np.random.default_rng(k + size)
-        sliced = np.random.default_rng(k + size)
-        want = np.array([per_trial.integers(0, 2, size=k, dtype=np.uint8) for _ in range(size)])
-        got = oracles._draw_messages(sliced, size, k)
-        assert got.shape == (size, k)
-        assert np.array_equal(got, want)
-        assert sliced.bit_generator.state == per_trial.bit_generator.state
-
-
 def test_roundtrip_sim_passes():
     spec = codec.build_code(snc.SncInstance(20, 9, 2))
     report = oracles.roundtrip_sim(spec, 100, seed=1234)
@@ -546,11 +536,29 @@ def test_roundtrip_sim_matches_reference_corrupted():
         assert report.first_failure[2].startswith("decode error: ")
 
 
-@pytest.mark.parametrize("delta", [None, -1, 0, 1])
-def test_roundtrip_sim_matches_reference_across_slices(delta):
-    trials = [-1, 0, 1] if delta is None else [oracles.SIM_SLICE + delta]
+@pytest.mark.parametrize("trials", [-1, 0, 1, 1023, 1024, 1025])
+def test_roundtrip_sim_matches_reference_across_slices(trials):
     healthy = codec.build_code(snc.SncInstance(6, 2, 1))
     wrong = wrong_solver_spec(snc.SncInstance(7, 3, 0), 2)
-    for n in trials:
-        for spec in (healthy, wrong):
-            assert oracles.roundtrip_sim(spec, n, seed=7) == reference_sim(spec, n, seed=7)
+    for spec in (healthy, wrong):
+        assert oracles.roundtrip_sim(spec, trials, seed=7) == reference_sim(spec, trials, seed=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=random_instances(40), trials=st.integers(-1, 40), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_roundtrip_sim_matches_reference_property(inst, trials, seed, data):
+    from sncindex.cli import _corrupted
+
+    healthy = codec.build_code(inst)
+    groups = data.draw(st.sets(st.integers(0, healthy.k1 - 1), min_size=1, max_size=3))
+    for spec in (healthy, _corrupted(healthy), wrong_solver_spec(inst, *groups)):
+        assert oracles.roundtrip_sim(spec, trials, seed) == reference_sim(spec, trials, seed)
+
+
+def test_roundtrip_sim_certifies_without_sampling():
+    # every row is exact, so no trial is drawn: a trillion trials cost one pass over the rows
+    spec = codec.build_code(snc.SncInstance(20, 9, 2))
+    report = oracles.roundtrip_sim(spec, 10**12, seed=3)
+    assert report.passed and report.first_failure is None
+    assert report.decodes == 20 * 10**12
