@@ -79,13 +79,17 @@ def build_air(m: int, n: int) -> AirMatrix:
 
 
 def first_deficient_window(matrix) -> int | None:
-    """Start index of the first cyclic n-row window with rank < n, else None."""
+    """Start index of the first cyclic n-row window with rank < n, else None.
+
+    The windows are checked by gf2.cyclic_full_rank's newest-row sweep,
+    which inverts nothing and stops at the first deficient window.
+    """
     arr = gf2.as_bits(matrix, ndim=2)
     m, n = arr.shape
-    # shapes the window kernel rejects: no window at all, or every window short of rank n
+    # shapes the window sweep rejects: no window at all, or every window short of rank n
     if not m or not n:
         return None
     if n > m:
         return 0
-    inverses = gf2.cyclic_window_inverses(gf2.pack_rows(arr), n)
-    return next((s for s, cols in enumerate(inverses) if cols is None), None)
+    full = gf2.cyclic_full_rank(gf2.pack_rows(arr), n)
+    return next((s for s, ok in enumerate(full) if not ok), None)

@@ -15,10 +15,10 @@ simulator evaluate them, and the plan prints them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
-from typing import Mapping
 
 import numpy as np
 
@@ -130,6 +130,9 @@ def encode(spec: CodeSpec, x) -> np.ndarray:
 def _build_rows(spec: CodeSpec) -> list[DecoderRow | None]:
     n, k1, groups = spec.n, spec.k1, spec.groups
     encoder = gf2.pack_rows(spec.air.matrix)
+    # encoder column t with group g at bit k1-1-g: the sum of a symbol set's
+    # columns holds the parity of every encoder row on that set
+    by_symbol = gf2.pack_rows(np.ascontiguousarray(spec.air.matrix.T))
     rows: list[DecoderRow | None] = [None] * spec.inst.k
     for s, cols in enumerate(gf2.cyclic_window_inverses(encoder, n)):
         if cols is None:
@@ -141,13 +144,44 @@ def _build_rows(spec: CodeSpec) -> list[DecoderRow | None]:
         # fewest symbols, then the lexicographically smallest index tuple:
         # index 0 is the top bit, so that is the largest int
         best = min(coset, key=lambda c: (c.bit_count(), -c))
-        symbols = tuple(t for t, bit in enumerate(format(best, f"0{n}b")) if bit == "1")
-        usable = ((j + i) % k1 for i in range(1, spec.d1 + 1 + opener))
-        known = [m for g in usable if (encoder[g] & best).bit_count() & 1 for m in groups[g]]
-        for rec in members:
-            own = [msg for msg in members if msg != rec]
-            rows[rec] = DecoderRow(rec, symbols, tuple(sorted(own + known)))
+        symbols, parity, rest = [], 0, best
+        while rest:  # set bits from the top: symbol n - top
+            top = rest.bit_length()
+            symbols.append(n - top)
+            parity ^= by_symbol[n - top]
+            rest ^= 1 << (top - 1)
+        # the usable groups j+1 .. j+span (mod k1), as bits in by_symbol's order
+        span = spec.d1 + opener
+        run, a = ((1 << span) - 1) << (k1 - span), (j + 1) % k1
+        odd = (run >> a | run << (k1 - a)) & parity
+        side = list(members)
+        while odd:  # the usable groups that best meets an odd number of times
+            top = odd.bit_length()
+            side += groups[k1 - top]
+            odd ^= 1 << (top - 1)
+        side.sort()
+        # members are consecutive and no cancelled group lies between them
+        at, symbols = side.index(members[0]), tuple(symbols)
+        for i, rec in enumerate(members, at):
+            rows[rec] = DecoderRow(rec, symbols, tuple(side[:i] + side[i + 1:]))
     return rows
+
+
+def _receiver(spec: CodeSpec, k) -> int:
+    """k as an int receiver index of spec; ValueError otherwise."""
+    try:
+        k = index(k)  # ints, numpy ints and bools, never a float
+    except TypeError:
+        raise ValueError(f"receiver index must be an integer (got {k!r})") from None
+    if not 0 <= k < spec.inst.k:
+        raise ValueError(f"receiver index {k} out of range")
+    return k
+
+
+def _row(spec: CodeSpec, k: int) -> DecoderRow:
+    if (row := spec._rows[k]) is None:
+        raise SystemSingularError(f"window starting after group {spec.group_of[k]} is singular")
+    return row
 
 
 def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
@@ -173,11 +207,10 @@ def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
     The first call builds every receiver's row in one pass of rank-one
     updates over the cyclic windows (gf2.cyclic_window_inverses), window s
     ending with group (s + n - 1) % k1; the spec keeps the rows that
-    decode, roundtrip_sim and extract_plan read.
+    decode, roundtrip_sim and extract_plan read. k is checked as decode
+    checks it.
     """
-    if (row := spec._rows[k]) is None:
-        raise SystemSingularError(f"window starting after group {spec.group_of[k]} is singular")
-    return row
+    return _row(spec, _receiver(spec, k))
 
 
 def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
@@ -186,23 +219,19 @@ def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     Validates the inputs, then evaluates receiver k's decoder row: the
     parity of its code symbols and side-info messages.
     """
-    try:
-        k = index(k)  # ints, numpy ints and bools, never a float
-    except TypeError:
-        raise ValueError(f"receiver index must be an integer (got {k!r})") from None
-    if not 0 <= k < spec.inst.k:
-        raise ValueError(f"receiver index {k} out of range")
+    k = _receiver(spec, k)
     cc = gf2.as_bits(c, ndim=1)
     if cc.shape[0] != spec.n:
         raise LengthMismatchError(f"expected a codeword of {spec.n} bits")
-    if side.keys() != set(spec.graph.known[k]):
+    mapping = type(side) is dict or isinstance(side, Mapping)  # a dict skips the ABC check
+    if not mapping or side.keys() != set(spec.graph.known[k]):
         raise SideInfoMismatchError(
             f"side information must cover exactly the known set of receiver {k}"
         )
     ints = all(issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, side.values())))
     if not (ints and set(side.values()) <= {0, 1}):
         raise ValueError("side information values must be bits")
-    row = decoder_row(spec, k)
+    row = _row(spec, k)
     bit = int(cc.take(row.symbols).sum() & 1)
     for msg in row.side:
         bit ^= side[msg]
@@ -226,4 +255,4 @@ class DecodePlan:
 
 def extract_plan(spec: CodeSpec) -> DecodePlan:
     """Every receiver's decoder row, in receiver order."""
-    return DecodePlan(tuple(decoder_row(spec, k) for k in range(spec.inst.k)))
+    return DecodePlan(tuple(_row(spec, k) for k in range(spec.inst.k)))

@@ -111,6 +111,66 @@ def invert(a) -> np.ndarray:
     return unpack_rows([basis.reduce(1 << (2 * n - 1 - p)) for p in range(n)], n)
 
 
+_BYTE_BITS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range(256))
+
+
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x >= 0, lowest first, read a byte at a time."""
+    out: list[int] = []
+    base = 0
+    for byte in x.to_bytes((x.bit_length() + 7) // 8, "little"):
+        if byte:
+            for b in _BYTE_BITS[byte]:
+                out.append(base + b)
+        base += 8
+    return out
+
+
+def cyclic_full_rank(rows: list[int], n: int):
+    """Whether each cyclic n-row window of a packed m x n matrix has rank n, by start.
+
+    For s = 0..m-1, yields whether rows s, s+1, ..., s+n-1 (mod m) are
+    independent, from one sweep over the doubled row sequence and with no
+    inversion. The sweep keeps an echelon basis whose pivot at each
+    leading bit holds the newest row that reaches it: a row that comes in
+    takes the pivot of an older one, and their sum, with the older index,
+    moves on down. After row t, the pivots with index s or more span rows
+    s..t. Each index holds at most one pivot, so window s has rank n iff
+    each of its n indices holds one once row s+n-1 is in; one flag per
+    index keeps that count.
+    """
+    m = len(rows)
+    if not 1 <= n <= m:
+        raise ValueError("window size must lie between 1 and the row count")
+    row_at = [0] * (n + 1)  # the pivot at each leading bit, and its row index
+    index_at = [-1] * (n + 1)
+    owned = bytearray(m + n - 1)
+    held = 0  # indices of the current window that hold a pivot
+    for t in range(m + n - 1):
+        s = t - n + 1  # the window that row t completes
+        if s > 0:
+            held -= owned[s - 1]
+        v, i = rows[t % m], t
+        while v:
+            p = v.bit_length()
+            j = index_at[p]
+            if j < i:
+                w = row_at[p]
+                row_at[p], index_at[p] = v, i
+                owned[i] = 1
+                held += i >= s
+                if j < 0:
+                    break
+                owned[j] = 0
+                held -= j >= s
+                i = j
+                v ^= w
+            else:
+                v ^= row_at[p]
+        if s >= 0:
+            yield held == n
+
+
 def cyclic_window_inverses(rows: list[int], n: int):
     """Inverse of every cyclic n-row window of a packed m x n matrix, by start.
 
@@ -119,16 +179,20 @@ def cyclic_window_inverses(rows: list[int], n: int):
     when that window is singular. Windows s and s+1 differ in one row, so
     only the first window, and the first after a singular one, is
     inverted from scratch; every other inverse is a rank-one update.
-    The inverse is kept in slots: the window row with unwrapped index r
+    The inverse X is kept in slots: the window row with unwrapped index r
     sits in slot r % n, so the row that enters takes the slot of the row
-    that leaves. With v their difference, u = cols[p] the leaving slot's
-    column and w_c = v . cols[c], Sherman-Morrison over GF(2) adds u to
-    every column with w_c = 1; w_p = 1 means the new window is singular.
+    that leaves. X is held twice, by slot columns and by coordinate rows
+    (slot c at bit c). With v the difference of the two rows and p their
+    slot, Sherman-Morrison over GF(2) reads w = v X as the sum of the |v|
+    rows of X at v's support; w_p = 1 means the new window is singular.
+    Otherwise X + u w, with u column p, adds u to the |w| columns that w
+    meets and w to the |u| rows that u meets, so a step costs
+    O(|v| + |w| + |u|) int operations, not one parity test per column.
     """
     m = len(rows)
     if not 1 <= n <= m:
         raise ValueError("window size must lie between 1 and the row count")
-    cols = None
+    cols = by_bit = None
     for s in range(m):
         r = s % n
         if cols is None:
@@ -137,15 +201,28 @@ def cyclic_window_inverses(rows: list[int], n: int):
             except NotUniqueError:
                 yield None
                 continue
+            # window position i sits in slot (r + i) % n
             by_position = pack_rows(np.ascontiguousarray(inv.T))
             cols = by_position[n - r:] + by_position[:n - r]
+            # by_bit[b] is row n-1-b of X, the coordinate at bit b of a packed row;
+            # reversed columns put position i at bit i, rotated to slot (r + i) % n
+            by_bit = pack_rows(inv[::-1, ::-1])
+            if r:
+                by_bit = [(x << r | x >> (n - r)) & ((1 << n) - 1) for x in by_bit]
         elif v := rows[s - 1] ^ rows[(s - 1 + n) % m]:
-            u = cols[(s - 1) % n]
-            if (v & u).bit_count() & 1:
+            p = (s - 1) % n
+            w = 0
+            for b in _bits(v):
+                w ^= by_bit[b]
+            if w >> p & 1:
                 cols = None
                 yield None
                 continue
-            cols = [col ^ u if (v & col).bit_count() & 1 else col for col in cols]
+            u = cols[p]
+            for c in _bits(w):
+                cols[c] ^= u
+            for b in _bits(u):
+                by_bit[b] ^= w
         yield cols[r:] + cols[:r]
 
 

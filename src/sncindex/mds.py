@@ -8,6 +8,7 @@ the Lagrange polynomial that is 1 at k and 0 at the other unknown points.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index, mul
@@ -129,14 +130,15 @@ def certify(spec: MdsCodeSpec) -> int | None:
     return int(failing[0]) if failing.size else None
 
 
-def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
+def mds_decode(spec: MdsCodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     """Receiver k's message: rows[k] . c minus side[k] . the side values at known[k], mod p.
 
     The codeword goes through PrimeField.elements with representatives, and
     its symbols are reduced mod p before the product, so any 64-bit
-    representative, signed or unsigned, decodes alike. Side values are taken
-    as integers (operator.index, so numpy ints cannot wrap; numpy bools as
-    Python bools) and reduced exactly.
+    representative, signed or unsigned, decodes alike. The side information
+    must be a mapping over known[k]. Its values are taken as integers
+    (operator.index, so numpy ints cannot wrap; numpy bools as Python
+    bools) and reduced exactly.
 
     Every receiver of a trial decodes the same codeword, so the first call
     on a codeword evaluates all K rows in one product and keeps the values
@@ -155,7 +157,8 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side) -> int:
     if len(cc) != spec.n:
         raise ValueError(f"expected a codeword of {spec.n} symbols")
     known = spec.graph.known[k]
-    if len(side) != len(known):
+    mapping = type(side) is dict or isinstance(side, Mapping)  # a dict skips the ABC check
+    if not mapping or len(side) != len(known):
         raise _side_error(k)
     p, table, key = spec.pf.p, spec._table, cc.tobytes()
     last = spec._evaluated[0]

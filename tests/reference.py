@@ -1,10 +1,11 @@
 """Plain reference implementations that only the tests use.
 
 Each one follows its definition directly and shares no code path with
-the package function it checks, except that decoder_rows inverts the
-windows with codec's kernel: it checks the usable-group rule. The instance enumerator and the
-hypothesis strategy are the tests' one copy of the validity rule
-K >= 2, 0 <= U <= D, U + D <= K - 1.
+the package function it checks, except that cyclic_window_inverses,
+the earlier one-sided window kernel, inverts its first window with
+gf2.invert; decoder_rows takes its window inverses from that kernel.
+The instance enumerator and the hypothesis strategy are the tests' one
+copy of the validity rule K >= 2, 0 <= U <= D, U + D <= K - 1.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from sncindex import codec, gf2, gfp, mds, snc
+from sncindex import air, codec, gf2, gfp, mds, snc
 
 
 def all_instances(k_max: int, full: bool = True):
@@ -34,6 +35,63 @@ def random_instances(draw, k_max):
     d = draw(st.integers(0, k - 1))
     u = draw(st.integers(0, min(d, k - 1 - d)))
     return snc.SncInstance(k, d, u)
+
+
+def cyclic_window_inverses(rows: list[int], n: int):
+    """gf2.cyclic_window_inverses by one-sided updates: a parity test per column.
+
+    Same yield as the package kernel, from the inverse kept by slot
+    columns only: with v the difference of the leaving and entering rows
+    and u the leaving slot's column, every column c with v . cols[c] = 1
+    gets u added, and v . u = 1 means the new window is singular. The
+    package kernel gave way to a two-sided update; this one checks it
+    where brute force per window is too slow.
+    """
+    m = len(rows)
+    if not 1 <= n <= m:
+        raise ValueError("window size must lie between 1 and the row count")
+    cols = None
+    for s in range(m):
+        r = s % n
+        if cols is None:
+            try:
+                inv = gf2.invert(gf2.unpack_rows([rows[(s + i) % m] for i in range(n)], n))
+            except gf2.NotUniqueError:
+                yield None
+                continue
+            by_position = gf2.pack_rows(np.ascontiguousarray(inv.T))
+            cols = by_position[n - r:] + by_position[:n - r]
+        elif v := rows[s - 1] ^ rows[(s - 1 + n) % m]:
+            u = cols[(s - 1) % n]
+            if (v & u).bit_count() & 1:
+                cols = None
+                yield None
+                continue
+            cols = [col ^ u if (v & col).bit_count() & 1 else col for col in cols]
+        yield cols[r:] + cols[:r]
+
+
+def paper_encoders() -> list[np.ndarray]:
+    """The encoding matrices behind the paper's (827, 23, U) table, U = 1..10."""
+    return [codec.build_code(snc.SncInstance(827, 23, u)).air.matrix for u in range(1, 11)]
+
+
+def window_matrices(seed: int, count: int, m_max: int):
+    """Seeded matrices for the window kernels, cycling through four kinds:
+    dense random, sparse random, and AIR with one or with two rows zeroed."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        m = int(rng.integers(1, m_max + 1))
+        n = int(rng.integers(1, m + 1))
+        kind = trial % 4
+        if kind == 0:
+            mat = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        elif kind == 1:
+            mat = (rng.random((m, n)) < 3 / n).astype(np.uint8)
+        else:
+            mat = air.build_air(m, n).matrix.copy()
+            mat[rng.integers(0, m, size=kind - 1)] = 0
+        yield mat
 
 
 def usable_groups(spec: codec.CodeSpec) -> list[set[int]]:
@@ -61,13 +119,14 @@ def decoder_rows(spec: codec.CodeSpec) -> list[codec.DecoderRow | None]:
     lexicographically, and cancels the usable groups its symbols carry.
     None marks the receivers of a singular window. The usable groups come
     from graph.known for any grouping, so this checks codec's cancellation
-    rule, which holds for build_code's groupings only.
+    rule, which holds for build_code's groupings only, and the window
+    inverses come from the one-sided kernel, so it checks codec's kernel too.
     """
     n, k1 = spec.n, spec.k1
     encoder = gf2.pack_rows(spec.air.matrix)
     usable_of = usable_groups(spec)
     rows: list[codec.DecoderRow | None] = [None] * spec.inst.k
-    for s, cols in enumerate(gf2.cyclic_window_inverses(encoder, n)):
+    for s, cols in enumerate(cyclic_window_inverses(encoder, n)):
         if cols is None:
             continue
         j = (s + n - 1) % k1  # window s ends with group j's row, and group g is at (g - s) % k1

@@ -3,6 +3,9 @@ import pytest
 
 from sncindex import air, gf2
 
+from reference import cyclic_window_inverses as reference_window_inverses
+from reference import paper_encoders, window_matrices
+
 AIR75_ROWS = [
     "10000",
     "01000",
@@ -155,6 +158,23 @@ def test_first_deficient_window_random_matrices():
         n = int(rng.integers(1, m + 1))
         mat = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
         assert air.first_deficient_window(mat) == first_deficient_by_rank(mat), mat.tolist()
+
+
+def test_first_deficient_window_paper_shapes_and_large_random():
+    # the paper's encoders pass; a zeroed row r first fails in the first
+    # window that holds it; random shapes up to m = 80 agree with the
+    # earlier kernel's first singular window
+    for mat in paper_encoders():
+        m, n = mat.shape
+        assert air.first_deficient_window(mat) is None
+        for r in (0, n - 1, m - 1):
+            broken = mat.copy()
+            broken[r] = 0
+            assert air.first_deficient_window(broken) == max(0, r - n + 1), (m, n, r)
+    for mat in window_matrices(47, 240, 80):
+        inverses = reference_window_inverses(gf2.pack_rows(mat), mat.shape[1])
+        want = next((s for s, cols in enumerate(inverses) if cols is None), None)
+        assert air.first_deficient_window(mat) == want, mat.shape
 
 
 @pytest.mark.parametrize(

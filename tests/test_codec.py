@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -159,6 +161,35 @@ def test_decode_side_info_mismatch(spec20):
     with pytest.raises(codec.SideInfoMismatchError,
                        match="^side information must cover exactly the known set of receiver 0$"):
         codec.decode(spec20, 0, c, side)
+
+
+def test_decode_refuses_side_information_that_is_not_a_mapping():
+    # a list used to end in an AttributeError
+    spec = codec.build_code(snc.SncInstance(5, 1, 0))
+    c = codec.encode(spec, [1, 0, 1, 1, 0])
+    for side in ([0, 1, 1, 0], [0], (0,), np.array([0])):
+        with pytest.raises(codec.SideInfoMismatchError,
+                           match="^side information must cover exactly the known set of receiver 0$"):
+            codec.decode(spec, 0, c, side)
+    assert codec.decode(spec, 0, c, {1: 0}) == 1
+
+
+def test_decoder_row_receiver_index_validated():
+    # -1 returned receiver 6's row, 7 raised a bare IndexError and 1.5 a TypeError
+    spec = codec.build_code(snc.SncInstance(7, 3, 1))
+    cases = [
+        (-1, "receiver index -1 out of range"),
+        (7, "receiver index 7 out of range"),
+        (1.5, "receiver index must be an integer (got 1.5)"),
+        ("1", "receiver index must be an integer (got '1')"),
+    ]
+    for k, text in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            codec.decoder_row(spec, k)
+    for k in (6, np.int64(6), np.uint8(6)):
+        assert codec.decoder_row(spec, k) == codec.decoder_row(spec, 6)
+        assert codec.decoder_row(spec, k).receiver == 6
+    assert codec.decoder_row(spec, True).receiver == 1
 
 
 def test_decode_rejects_side_values_that_are_not_integer_bits(spec20):

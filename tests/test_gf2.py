@@ -5,7 +5,8 @@ import pytest
 
 from sncindex import air, gf2
 
-from reference import in_span, span_coefficients
+from reference import cyclic_window_inverses as reference_window_inverses
+from reference import in_span, paper_encoders, span_coefficients, window_matrices
 
 # the 7x5 window matrix reused across tests
 AIR75 = np.array(
@@ -176,6 +177,63 @@ def test_cyclic_window_inverses_rejects_bad_window_size():
     for n in (0, 3):
         with pytest.raises(ValueError):
             list(gf2.cyclic_window_inverses([1, 2], n))
+
+
+def test_cyclic_window_inverses_match_reference_kernel():
+    # the paper's encoders, a few with a zeroed row, and random shapes up to
+    # m = 80: too large for per-window brute force, so the earlier kernel
+    # is the reference
+    mats = paper_encoders()
+    for mat in mats[4:]:
+        broken = mat.copy()
+        broken[mat.shape[0] // 2] = 0
+        mats.append(broken)
+    singular = 0
+    for mat in mats + list(window_matrices(37, 160, 80)):
+        rows, n = gf2.pack_rows(mat), mat.shape[1]
+        want = list(reference_window_inverses(rows, n))
+        assert list(gf2.cyclic_window_inverses(rows, n)) == want, mat.shape
+        singular += want.count(None)
+    assert singular > 1000
+
+
+def test_cyclic_full_rank_matches_brute_force():
+    rng = np.random.default_rng(41)
+    for trial in range(400):
+        m = int(rng.integers(1, 14))
+        n = int(rng.integers(1, m + 1))
+        mat = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        if trial % 2:
+            mat[rng.integers(0, m)] = 0
+        want = [gf2.rank(mat[[(s + i) % m for i in range(n)]]) == n for s in range(m)]
+        assert list(gf2.cyclic_full_rank(gf2.pack_rows(mat), n)) == want, mat.tolist()
+
+
+def test_cyclic_full_rank_matches_reference_kernel():
+    for mat in window_matrices(43, 240, 80):
+        rows, n = gf2.pack_rows(mat), mat.shape[1]
+        want = [cols is not None for cols in reference_window_inverses(rows, n)]
+        assert list(gf2.cyclic_full_rank(rows, n)) == want, mat.shape
+
+
+def test_cyclic_full_rank_air_with_a_zeroed_row():
+    # every window of an AIR matrix has rank n, so zeroing row r leaves
+    # exactly the windows that hold r short of it
+    mats = [air.build_air(m, n).matrix for m in range(1, 25) for n in range(1, m + 1)]
+    for mat in mats + paper_encoders():
+        m, n = mat.shape
+        assert all(gf2.cyclic_full_rank(gf2.pack_rows(mat), n))
+        for r in {0, m // 3, m - 1}:
+            broken = mat.copy()
+            broken[r] = 0
+            want = [(r - s) % m >= n for s in range(m)]
+            assert list(gf2.cyclic_full_rank(gf2.pack_rows(broken), n)) == want, (m, n, r)
+
+
+def test_cyclic_full_rank_rejects_bad_window_size():
+    for n in (0, 3):
+        with pytest.raises(ValueError):
+            list(gf2.cyclic_full_rank([1, 2], n))
 
 
 def test_in_span_zero_vector():

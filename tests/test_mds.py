@@ -139,6 +139,18 @@ def test_decode_takes_side_values_as_integers():
         mds.mds_decode(wide, 0, c, {5: 0.5, 1: 0, 3: 0})
 
 
+def test_decode_refuses_side_information_that_is_not_a_mapping():
+    # a list was read by position: it decoded, or raised a bare IndexError
+    spec = mds.build_mds(snc.SncInstance(5, 1, 0))
+    x = [1, 2, 3, 4, 0]
+    c = mds.mds_encode(spec, x)
+    for k, side in ((4, [1]), (0, [2]), (0, (2,)), (0, np.array([2]))):
+        with pytest.raises(ValueError,
+                           match=f"^side information must cover exactly the known set of receiver {k}$"):
+            mds.mds_decode(spec, k, c, side)
+    assert mds.mds_decode(spec, 4, c, {0: 1}) == 0
+
+
 def test_decode_validates_every_input_in_order():
     spec = mds.build_mds(snc.SncInstance(5, 1, 0))
     x = [1, 2, 3, 4, 0]
