@@ -18,21 +18,16 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
 
 import numpy as np
 
 from . import gf2
 from .air import AirMatrix, build_air
-from .snc import SideInfoGraph, SncInstance, build_graph
+from .snc import SideInfoGraph, SideInfoMismatchError, SncInstance, build_graph
 
 
 class LengthMismatchError(ValueError):
     """Input vector length does not match the instance."""
-
-
-class SideInfoMismatchError(ValueError):
-    """The supplied side information does not cover exactly the known set."""
 
 
 class SystemSingularError(RuntimeError):
@@ -167,17 +162,6 @@ def _build_rows(spec: CodeSpec) -> list[DecoderRow | None]:
     return rows
 
 
-def _receiver(spec: CodeSpec, k) -> int:
-    """k as an int receiver index of spec; ValueError otherwise."""
-    try:
-        k = index(k)  # ints, numpy ints and bools, never a float
-    except TypeError:
-        raise ValueError(f"receiver index must be an integer (got {k!r})") from None
-    if not 0 <= k < spec.inst.k:
-        raise ValueError(f"receiver index {k} out of range")
-    return k
-
-
 def _row(spec: CodeSpec, k: int) -> DecoderRow:
     if (row := spec._rows[k]) is None:
         raise SystemSingularError(f"window starting after group {spec.group_of[k]} is singular")
@@ -210,7 +194,7 @@ def decoder_row(spec: CodeSpec, k: int) -> DecoderRow:
     decode, roundtrip_sim and extract_plan read. k is checked as decode
     checks it.
     """
-    return _row(spec, _receiver(spec, k))
+    return _row(spec, spec.graph.receiver(k))
 
 
 def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
@@ -219,17 +203,13 @@ def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     Validates the inputs, then evaluates receiver k's decoder row: the
     parity of its code symbols and side-info messages.
     """
-    k = _receiver(spec, k)
+    k = spec.graph.receiver(k)
     cc = gf2.as_bits(c, ndim=1)
     if cc.shape[0] != spec.n:
         raise LengthMismatchError(f"expected a codeword of {spec.n} bits")
-    mapping = type(side) is dict or isinstance(side, Mapping)  # a dict skips the ABC check
-    if not mapping or side.keys() != set(spec.graph.known[k]):
-        raise SideInfoMismatchError(
-            f"side information must cover exactly the known set of receiver {k}"
-        )
-    ints = all(issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, side.values())))
-    if not (ints and set(side.values()) <= {0, 1}):
+    values = spec.graph.side_values(k, side)
+    ints = all(issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, values)))
+    if not (ints and set(values) <= {0, 1}):
         raise ValueError("side information values must be bits")
     row = _row(spec, k)
     bit = int(cc.take(row.symbols).sum() & 1)

@@ -133,12 +133,12 @@ def certify(spec: MdsCodeSpec) -> int | None:
 def mds_decode(spec: MdsCodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     """Receiver k's message: rows[k] . c minus side[k] . the side values at known[k], mod p.
 
-    The codeword goes through PrimeField.elements with representatives, and
-    its symbols are reduced mod p before the product, so any 64-bit
-    representative, signed or unsigned, decodes alike. The side information
-    must be a mapping over known[k]. Its values are taken as integers
-    (operator.index, so numpy ints cannot wrap; numpy bools as Python
-    bools) and reduced exactly.
+    k and side are checked by spec.graph, as codec.decode checks them. The
+    codeword goes through PrimeField.elements with representatives, and its
+    symbols are reduced mod p before the product, so any 64-bit
+    representative, signed or unsigned, decodes alike. The side values are
+    taken as integers (operator.index, so numpy ints cannot wrap; numpy
+    bools as Python bools) and reduced exactly.
 
     Every receiver of a trial decodes the same codeword, so the first call
     on a codeword evaluates all K rows in one product and keeps the values
@@ -147,37 +147,21 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     one receiver of a fresh codeword costs a K x n product, not an n-long
     dot. No command or benchmark workload decodes that way at large K.
     """
-    try:
-        k = index(k)  # ints, numpy ints and bools, never a float
-    except TypeError:
-        raise ValueError(f"receiver index must be an integer (got {k!r})") from None
-    if not 0 <= k < spec.inst.k:
-        raise ValueError(f"receiver index {k} out of range")
+    k = spec.graph.receiver(k)
     cc = spec.pf.elements(c, 1, representatives=True)
     if len(cc) != spec.n:
         raise ValueError(f"expected a codeword of {spec.n} symbols")
-    known = spec.graph.known[k]
-    mapping = type(side) is dict or isinstance(side, Mapping)  # a dict skips the ABC check
-    if not mapping or len(side) != len(known):
-        raise _side_error(k)
+    values = spec.graph.side_values(k, side)
     p, table, key = spec.pf.p, spec._table, cc.tobytes()
     last = spec._evaluated[0]
     if last[0] != key:
         last = spec._evaluated[0] = (key, (table.rows @ (cc % p) % p).tolist())
     try:
-        known_part = sum(map(mul, table.side[k], map(index, map(side.__getitem__, known))))
-    except KeyError:
-        raise _side_error(k) from None
+        known_part = sum(map(mul, table.side[k], map(index, values)))
     except TypeError:
-        if side.keys() != set(known):
-            raise _side_error(k) from None
-        values = [bool(v) if isinstance(v, np.bool_) else v for v in map(side.__getitem__, known)]
+        values = [bool(v) if isinstance(v, np.bool_) else v for v in values]
         try:  # numpy bools have no __index__
             known_part = sum(map(mul, table.side[k], map(index, values)))
         except TypeError:
             raise ValueError("side information values must be integers") from None
     return int((last[1][k] - known_part) % p)
-
-
-def _side_error(k: int) -> ValueError:
-    return ValueError(f"side information must cover exactly the known set of receiver {k}")

@@ -11,8 +11,10 @@ order, the achievable scalar code length, and the minrank bounds.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,12 @@ class SncInstance:
     u: int
 
     def __post_init__(self):
+        for name in "kdu":  # Python and numpy ints, stored as int; never a float or a str
+            if type(value := getattr(self, name)) is not int:
+                try:
+                    object.__setattr__(self, name, index(value))
+                except TypeError:
+                    raise ValueError(f"{name.upper()} must be an integer (got {value!r})") from None
         if self.k < 2:
             raise ValueError(f"K must be at least 2 (got K={self.k})")
         if not 0 <= self.u <= self.d:
@@ -38,6 +46,10 @@ class SncInstance:
         return self.u + self.d == self.k - 1
 
 
+class SideInfoMismatchError(ValueError):
+    """The supplied side information does not cover exactly the known set."""
+
+
 @dataclass(frozen=True)
 class SideInfoGraph:
     """Directed graph with an edge k -> j iff receiver k knows message j.
@@ -45,6 +57,33 @@ class SideInfoGraph:
 
     k: int
     known: tuple[tuple[int, ...], ...]
+
+    def receiver(self, k) -> int:
+        """k as an int receiver index; ValueError otherwise."""
+        try:
+            k = index(k)  # ints, numpy ints and bools, never a float
+        except TypeError:
+            raise ValueError(f"receiver index must be an integer (got {k!r})") from None
+        if not 0 <= k < self.k:
+            raise ValueError(f"receiver index {k} out of range")
+        return k
+
+    def side_values(self, k: int, side) -> list:
+        """side's values in known[k] order; SideInfoMismatchError unless its keys are known[k].
+
+        A plain dict costs one length test and one lookup per key; other
+        mappings are compared by key set, so a defaultdict gains no keys."""
+        known = self.known[k]
+        if type(side) is dict and len(side) == len(known):
+            try:
+                return [side[j] for j in known]
+            except KeyError:
+                pass
+        elif isinstance(side, Mapping) and side.keys() == set(known):
+            return [side[j] for j in known]
+        raise SideInfoMismatchError(
+            f"side information must cover exactly the known set of receiver {k}"
+        )
 
 
 def build_graph(inst: SncInstance) -> SideInfoGraph:

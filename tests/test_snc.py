@@ -1,9 +1,12 @@
+from collections import defaultdict
 from dataclasses import fields
 from fractions import Fraction
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 
-from sncindex import codec, snc
+from sncindex import codec, mds, snc
 
 from reference import all_instances
 
@@ -37,6 +40,26 @@ def test_validation_messages_name_the_rule():
         snc.SncInstance(10, 2, -1)
     with pytest.raises(ValueError, match="U \\+ D <= K - 1"):
         snc.SncInstance(5, 4, 1)
+
+
+def test_instance_parameters_must_be_integers():
+    # floats constructed, then failed in analyze or build_code; a str raised a bare TypeError
+    cases = [
+        ((20.0, 9, 2), "K must be an integer (got 20.0)"),
+        ((20.5, 9, 2), "K must be an integer (got 20.5)"),
+        (("20", 9, 2), "K must be an integer (got '20')"),
+        ((20, 9.0, 2), "D must be an integer (got 9.0)"),
+        ((20, 9, 2.0), "U must be an integer (got 2.0)"),
+    ]
+    for args, text in cases:
+        with pytest.raises(ValueError) as info:
+            snc.SncInstance(*args)
+        assert type(info.value) is ValueError and str(info.value) == text
+    inst = snc.SncInstance(np.int64(20), np.uint8(9), 2)
+    assert inst == snc.SncInstance(20, 9, 2) and hash(inst) == hash(snc.SncInstance(20, 9, 2))
+    assert [type(v) for v in (inst.k, inst.d, inst.u)] == [int, int, int]
+    assert snc.analyze(inst) == snc.analyze(snc.SncInstance(20, 9, 2))
+    assert (codec.build_code(inst).n, mds.build_mds(inst).n) == (5, 9)
 
 
 def test_validation_matches_rule_on_random_triples():
@@ -226,3 +249,48 @@ def test_winner_examples():
     ]:
         r = snc.analyze(snc.SncInstance(*kdu))
         assert (r.gamma, r.mds_length, r.winner, r.conjecture_value) == lengths, kdu
+
+
+OUT_OF_RANGE = "receiver index {} out of range"
+NOT_AN_INDEX = "receiver index must be an integer (got {})"
+MISMATCH = "side information must cover exactly the known set of receiver 0"
+
+
+@pytest.mark.parametrize("receiver, make_side, error, text", [
+    (-1, None, ValueError, OUT_OF_RANGE.format(-1)),
+    (6, None, ValueError, OUT_OF_RANGE.format(6)),
+    (1.5, None, ValueError, NOT_AN_INDEX.format(1.5)),
+    ("1", None, ValueError, NOT_AN_INDEX.format("'1'")),
+    (0, lambda: [0, 0, 0], codec.SideInfoMismatchError, MISMATCH),
+    (0, lambda: (0, 0, 0), codec.SideInfoMismatchError, MISMATCH),
+    (0, lambda: np.zeros(3, dtype=int), codec.SideInfoMismatchError, MISMATCH),
+    (0, lambda: {5: 0, 1: 0}, codec.SideInfoMismatchError, MISMATCH),
+    (0, lambda: {5: 0, 1: 0, 2: 0, 3: 0}, codec.SideInfoMismatchError, MISMATCH),
+    (0, lambda: {5: 0, 1: 0, 3: 0}, codec.SideInfoMismatchError, MISMATCH),
+    # mds_decode returned 0 here and added key 2 to the caller's dict
+    (0, lambda: defaultdict(int, {5: 0, 1: 0, 3: 0}), codec.SideInfoMismatchError, MISMATCH),
+], ids=["-1", "K", "float", "str", "list", "tuple", "ndarray", "missing", "extra", "swapped",
+        "defaultdict"])
+def test_both_decoders_share_the_receiver_and_side_contract(receiver, make_side, error, text):
+    inst = snc.SncInstance(6, 2, 1)
+    spec, baseline = codec.build_code(inst), mds.build_mds(inst)
+    assert spec.graph.known[0] == baseline.graph.known[0] == (5, 1, 2)
+    for encode, decode, s in ((codec.encode, codec.decode, spec),
+                              (mds.mds_encode, mds.mds_decode, baseline)):
+        side = make_side() if make_side else {5: 0, 1: 0, 2: 0}
+        before = dict(side) if isinstance(side, dict) else None
+        with pytest.raises(ValueError) as info:
+            decode(s, receiver, encode(s, [0] * 6), side)
+        assert (type(info.value), str(info.value)) == (error, text), decode.__name__
+        if before is not None:
+            assert side == before  # no key added
+
+
+def test_both_decoders_take_a_read_only_mapping():
+    inst = snc.SncInstance(6, 2, 1)
+    spec, baseline = codec.build_code(inst), mds.build_mds(inst)
+    x = [1, 0, 1, 1, 0, 1]
+    c, cm = codec.encode(spec, x), mds.mds_encode(baseline, x)
+    for rec, known in enumerate(spec.graph.known):
+        side = MappingProxyType({j: x[j] for j in known})
+        assert codec.decode(spec, rec, c, side) == mds.mds_decode(baseline, rec, cm, side) == x[rec]
