@@ -26,6 +26,10 @@ from .air import AirMatrix, build_air
 from .snc import SideInfoGraph, SideInfoMismatchError, SncInstance, build_graph
 
 
+_BYTE = np.dtype(np.uint8)
+_INT_TYPES = frozenset({int, bool})
+
+
 class LengthMismatchError(ValueError):
     """Input vector length does not match the instance."""
 
@@ -78,6 +82,11 @@ class CodeSpec:
     @cached_property
     def _rows(self) -> list[DecoderRow | None]:
         return _build_rows(self)
+
+    @cached_property
+    def _masks(self) -> list[int]:
+        """decode's mask for each receiver (see _mask), 0 until its first decode."""
+        return [0] * self.inst.k
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,21 +210,57 @@ def decode(spec: CodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     """Recover message k from the codeword and the receiver's side information.
 
     Validates the inputs, then evaluates receiver k's decoder row: the
-    parity of its code symbols and side-info messages.
+    parity of its code symbols and side-info messages. The codeword and
+    the side values become one byte per bit, and the row one mask over
+    those bytes, made on the receiver's first decode, so the parity is one
+    bit_count. A uint8 codeword and Python int or bool side values are
+    checked in one C pass each; any other input takes the full rule.
     """
     k = spec.graph.receiver(k)
-    cc = gf2.as_bits(c, ndim=1)
-    if cc.shape[0] != spec.n:
+    word = _codeword_bytes(c)
+    if len(word) != spec.n:
         raise LengthMismatchError(f"expected a codeword of {spec.n} bits")
-    values = spec.graph.side_values(k, side)
+    bits = _side_bits(spec.graph.side_values(k, side))
+    masks = spec._masks
+    if not (mask := masks[k]):
+        mask = masks[k] = _mask(spec, k)
+    return (int.from_bytes(word + bits, "little") & mask).bit_count() & 1
+
+
+def _codeword_bytes(c) -> bytes:
+    """c's bits as gf2.as_bits takes them, one byte each."""
+    if type(c) is np.ndarray and c.dtype is _BYTE and c.ndim == 1:
+        word = c.tobytes()
+        if not word.translate(None, b"\0\1"):
+            return word
+    return gf2.as_bits(c, ndim=1).tobytes()
+
+
+def _side_bits(values: tuple) -> bytes:
+    """The side values, one byte each; ValueError unless every one is a Python
+    or numpy int or bool equal to 0 or 1."""
+    try:
+        bits = bytes(values)  # one C pass through __index__; raises outside 0..255
+    except (TypeError, ValueError):
+        pass
+    else:
+        if not bits.translate(None, b"\0\1") and _INT_TYPES.issuperset(map(type, values)):
+            return bits
     ints = all(issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, values)))
     if not (ints and set(values) <= {0, 1}):
         raise ValueError("side information values must be bits")
-    row = _row(spec, k)
-    bit = int(cc.take(row.symbols).sum() & 1)
-    for msg in row.side:
-        bit ^= side[msg]
-    return int(bit)  # a numpy side value makes bit a numpy scalar
+    return bytes(map(bool, values))
+
+
+def _mask(spec: CodeSpec, k: int) -> int:
+    """Receiver k's row over decode's bytes: bit 8t for code symbol t, and
+    bit 8(n + i) for known[k][i] where the row holds that message."""
+    row, known, n = _row(spec, k), spec.graph.known[k], spec.n
+    at = {msg: i for i, msg in enumerate(known, n)}
+    buf = bytearray(n + len(known))
+    for i in (*row.symbols, *map(at.__getitem__, row.side)):
+        buf[i] = 1
+    return int.from_bytes(buf, "little")
 
 
 @dataclass(frozen=True)

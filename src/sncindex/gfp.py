@@ -59,7 +59,7 @@ class PrimeField:
         to reduce.
         """
         arr = np.asarray(a)
-        if arr.dtype is _INT64:  # the common input; mds_decode runs this per call
+        if arr.dtype is _INT64:  # the common input
             pass
         elif arr.dtype.kind in "biu":
             reduce = representatives and arr.dtype == np.uint64

@@ -19,6 +19,8 @@ from . import snc
 from .gfp import PrimeField, smallest_prime_field
 from .snc import SncInstance, SideInfoGraph, build_graph
 
+_INT64 = np.dtype(np.int64)
+
 
 @dataclass(frozen=True)
 class DecoderTable:
@@ -30,7 +32,7 @@ class DecoderTable:
 
 @dataclass(frozen=True, eq=False)
 class MdsCodeSpec:
-    """The decoder table and the evaluation slot are derived on first use;
+    """The decoder table and mds_decode's state are derived on first use;
     a replaced copy derives its own."""
 
     inst: SncInstance
@@ -44,9 +46,11 @@ class MdsCodeSpec:
         return _build_table(self)
 
     @cached_property
-    def _evaluated(self) -> list[tuple]:
-        """One slot: (codeword bytes, rows . c mod p) for the codeword decoded last."""
-        return [(None, None)]
+    def _decoder(self) -> tuple:
+        """(p, rows, side, slot) from _table; the one slot holds (codeword
+        bytes, rows . c mod p) for the codeword decoded last."""
+        table = self._table
+        return self.pf.p, table.rows, table.side, [(None, None)]
 
 
 def build_mds(inst: SncInstance) -> MdsCodeSpec:
@@ -137,8 +141,13 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     codeword goes through PrimeField.elements with representatives, and its
     symbols are reduced mod p before the product, so any 64-bit
     representative, signed or unsigned, decodes alike. The side values are
-    taken as integers (operator.index, so numpy ints cannot wrap; numpy
-    bools as Python bools) and reduced exactly.
+    taken as integers and reduced exactly: _side_integers is the rule
+    (operator.index, so numpy ints cannot wrap; numpy bools as Python
+    bools). Each check has a fast path that accepts only what its rule
+    accepts and hands anything else to the rule: an int receiver in
+    range (in graph.receiver), an int64 vector (which elements returns as
+    is), and side values read by bytes() in one C pass through __index__,
+    which holds 0..255 and nothing else.
 
     Every receiver of a trial decodes the same codeword, so the first call
     on a codeword evaluates all K rows in one product and keeps the values
@@ -147,21 +156,31 @@ def mds_decode(spec: MdsCodeSpec, k: int, c, side: Mapping[int, int]) -> int:
     one receiver of a fresh codeword costs a K x n product, not an n-long
     dot. No command or benchmark workload decodes that way at large K.
     """
-    k = spec.graph.receiver(k)
-    cc = spec.pf.elements(c, 1, representatives=True)
-    if len(cc) != spec.n:
+    graph = spec.graph
+    k = graph.receiver(k)
+    if type(c) is not np.ndarray or c.dtype is not _INT64 or c.ndim != 1:
+        c = spec.pf.elements(c, 1, representatives=True)
+    if len(c) != spec.n:
         raise ValueError(f"expected a codeword of {spec.n} symbols")
-    values = spec.graph.side_values(k, side)
-    p, table, key = spec.pf.p, spec._table, cc.tobytes()
-    last = spec._evaluated[0]
+    values = graph.side_values(k, side)
+    p, rows, coefs, slot = spec._decoder
+    key, last = c.tobytes(), slot[0]
     if last[0] != key:
-        last = spec._evaluated[0] = (key, (table.rows @ (cc % p) % p).tolist())
+        last = slot[0] = (key, (rows @ (c % p) % p).tolist())
     try:
-        known_part = sum(map(mul, table.side[k], map(index, values)))
+        ints = bytes(values)
+    except (TypeError, ValueError):
+        ints = _side_integers(values)
+    return (last[1][k] - sum(map(mul, coefs[k], ints))) % p
+
+
+def _side_integers(values: tuple) -> list[int]:
+    """Each side value through operator.index, numpy bools (no __index__) as Python bools."""
+    try:
+        return list(map(index, values))
     except TypeError:
         values = [bool(v) if isinstance(v, np.bool_) else v for v in values]
-        try:  # numpy bools have no __index__
-            known_part = sum(map(mul, table.side[k], map(index, values)))
-        except TypeError:
-            raise ValueError("side information values must be integers") from None
-    return int((last[1][k] - known_part) % p)
+    try:
+        return list(map(index, values))
+    except TypeError:
+        raise ValueError("side information values must be integers") from None

@@ -14,7 +14,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from functools import cached_property
+from operator import index, itemgetter
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,16 @@ class SideInfoGraph:
     k: int
     known: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _getters(self) -> tuple:
+        """Per receiver, itemgetter(*known[k]), which returns a tuple; None below two keys,
+        where itemgetter raises or returns a bare value."""
+        return tuple([itemgetter(*js) if len(js) > 1 else None for js in self.known])
+
     def receiver(self, k) -> int:
         """k as an int receiver index; ValueError otherwise."""
+        if type(k) is int and 0 <= k < self.k:
+            return k
         try:
             k = index(k)  # ints, numpy ints and bools, never a float
         except TypeError:
@@ -68,19 +77,23 @@ class SideInfoGraph:
             raise ValueError(f"receiver index {k} out of range")
         return k
 
-    def side_values(self, k: int, side) -> list:
-        """side's values in known[k] order; SideInfoMismatchError unless its keys are known[k].
+    def side_values(self, k: int, side) -> tuple:
+        """side's values as a tuple in known[k] order; SideInfoMismatchError unless its
+        keys are known[k]. The values themselves are not checked.
 
-        A plain dict costs one length test and one lookup per key; other
-        mappings are compared by key set, so a defaultdict gains no keys."""
+        A plain dict costs one length test and one C-level lookup of all
+        known keys; other mappings are compared by key set, so a
+        defaultdict gains no keys."""
         known = self.known[k]
         if type(side) is dict and len(side) == len(known):
             try:
-                return [side[j] for j in known]
+                if get := self._getters[k]:
+                    return get(side)
+                return tuple([side[j] for j in known])
             except KeyError:
                 pass
         elif isinstance(side, Mapping) and side.keys() == set(known):
-            return [side[j] for j in known]
+            return tuple([side[j] for j in known])
         raise SideInfoMismatchError(
             f"side information must cover exactly the known set of receiver {k}"
         )

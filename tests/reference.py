@@ -3,7 +3,9 @@
 Each one follows its definition directly and shares no code path with
 the package function it checks, except that cyclic_window_inverses,
 the earlier one-sided window kernel, inverts its first window with
-gf2.invert; decoder_rows takes its window inverses from that kernel.
+gf2.invert; decoder_rows takes its window inverses from that kernel;
+and the two decoders take their codewords through the package's
+codeword rules and their rows from the package's cached decoders.
 The instance enumerator and the hypothesis strategy are the tests' one
 copy of the validity rule K >= 2, 0 <= U <= D, U + D <= K - 1.
 """
@@ -11,6 +13,8 @@ copy of the validity rule K >= 2, 0 <= U <= D, U + D <= K - 1.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
+from operator import index, mul
 
 import numpy as np
 from hypothesis import strategies as st
@@ -315,3 +319,70 @@ def exists_rank_at_most(known, r: int, row0: list[int]) -> bool:
         return False
 
     return go(0, 0)
+
+
+def receiver(graph: snc.SideInfoGraph, k) -> int:
+    """The receiver-index rule: operator.index, then the range test."""
+    try:
+        k = index(k)
+    except TypeError:
+        raise ValueError(f"receiver index must be an integer (got {k!r})") from None
+    if not 0 <= k < graph.k:
+        raise ValueError(f"receiver index {k} out of range")
+    return k
+
+
+def side_values(graph: snc.SideInfoGraph, k: int, side) -> list:
+    """side's values in known[k] order, one lookup per key: the side-information
+    rule, under which side's keys must be exactly known[k]."""
+    known = graph.known[k]
+    if type(side) is dict and len(side) == len(known):
+        try:
+            return [side[j] for j in known]
+        except KeyError:
+            pass
+    elif isinstance(side, Mapping) and side.keys() == set(known):
+        return [side[j] for j in known]
+    raise snc.SideInfoMismatchError(
+        f"side information must cover exactly the known set of receiver {k}"
+    )
+
+
+def decode(spec: codec.CodeSpec, k, c, side) -> int:
+    """codec.decode by the rules one at a time: each side value's type
+    and value are checked, and the row's parity is a numpy sum plus one
+    mapping lookup per side message."""
+    k = receiver(spec.graph, k)
+    cc = gf2.as_bits(c, ndim=1)
+    if cc.shape[0] != spec.n:
+        raise codec.LengthMismatchError(f"expected a codeword of {spec.n} bits")
+    values = side_values(spec.graph, k, side)
+    ints = all(issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, values)))
+    if not (ints and set(values) <= {0, 1}):
+        raise ValueError("side information values must be bits")
+    row = codec.decoder_row(spec, k)
+    bit = int(cc.take(row.symbols).sum() & 1)
+    for msg in row.side:
+        bit ^= side[msg]
+    return int(bit)
+
+
+def mds_decode(spec: mds.MdsCodeSpec, k, c, side) -> int:
+    """mds.mds_decode by the rules one at a time: rows[k] . c evaluated for
+    this call alone, each side value through operator.index (numpy bools
+    as bools)."""
+    k = receiver(spec.graph, k)
+    cc = spec.pf.elements(c, 1, representatives=True)
+    if len(cc) != spec.n:
+        raise ValueError(f"expected a codeword of {spec.n} symbols")
+    values = side_values(spec.graph, k, side)
+    table, p = mds.decoder_table(spec), spec.pf.p
+    try:
+        known_part = sum(map(mul, table.side[k], map(index, values)))
+    except TypeError:
+        values = [bool(v) if isinstance(v, np.bool_) else v for v in values]
+        try:
+            known_part = sum(map(mul, table.side[k], map(index, values)))
+        except TypeError:
+            raise ValueError("side information values must be integers") from None
+    return int((int(table.rows[k] @ (cc % p)) - known_part) % p)

@@ -1,11 +1,17 @@
-from collections import defaultdict
+import copy
+import functools
+import pickle
+from collections import OrderedDict, defaultdict
 from dataclasses import fields
 from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from sncindex import codec, mds, snc
 
 from reference import all_instances
@@ -294,3 +300,102 @@ def test_both_decoders_take_a_read_only_mapping():
     for rec, known in enumerate(spec.graph.known):
         side = MappingProxyType({j: x[j] for j in known})
         assert codec.decode(spec, rec, c, side) == mds.mds_decode(baseline, rec, cm, side) == x[rec]
+
+
+class Index:
+    """An integer to operator.index and to nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+class SubDict(dict):
+    pass
+
+
+#: Every side value kind whose acceptance the decoders' fast paths could change.
+ODD_VALUES = [0, 1, True, False, np.bool_(True), np.bool_(False), np.int64(1), np.uint8(1),
+              np.uint8(0), np.uint64(2**64 - 1), 255, 256, -1, 2**70, Index(1), Index(300),
+              np.array(1), 1.0, 0.5, "1", None]
+#: How the side values are built from the message symbols.
+CONVERTERS = [int, bool, np.bool_, np.int64, np.uint8, Index]
+MAPPINGS = [dict, lambda items: dict(items[::-1]), SubDict, OrderedDict,
+            lambda items: defaultdict(int, items), lambda items: MappingProxyType(dict(items))]
+#: Receivers with 0, 1 and several known messages.
+AGREEMENT = [(2, 0, 0), (2, 1, 0), (3, 1, 0), (6, 2, 1), (9, 3, 1), (20, 9, 2), (13, 12, 0)]
+
+
+@functools.cache
+def both_codes(kdu):
+    inst = snc.SncInstance(*kdu)
+    return codec.build_code(inst), mds.build_mds(inst)
+
+
+def outcome(decode, *args):
+    try:
+        return decode(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kdu=st.sampled_from(AGREEMENT), data=st.data())
+def test_decoders_agree_with_the_reference_property(kdu, data):
+    # the same value, or the same exception type and text, as the rules one
+    # at a time, with each odd side value in turn at one known position
+    k = kdu[0]
+    rec = data.draw(st.integers(0, k - 1))
+    receiver = data.draw(st.sampled_from([rec, rec, np.int64(rec), rec == 1 if rec < 2 else rec,
+                                          float(rec), rec + k, rec - k]))
+    convert = data.draw(st.sampled_from(CONVERTERS))
+    make = data.draw(st.sampled_from(MAPPINGS))
+    keys = data.draw(st.sampled_from(["exact", "exact", "exact", "drop", "extra"]))
+    for code, decode, check in ((0, codec.decode, reference.decode),
+                                (1, mds.mds_decode, reference.mds_decode)):
+        spec = both_codes(kdu)[code]
+        top = spec.pf.p if code else 2
+        x = data.draw(st.lists(st.integers(0, top - 1), min_size=k, max_size=k))
+        c = mds.mds_encode(spec, x) if code else codec.encode(spec, x)
+        base = [(j, convert(x[j])) for j in spec.graph.known[rec]]
+        at = data.draw(st.integers(0, max(0, len(base) - 1)))
+        for odd in [None, *ODD_VALUES] if base else [None]:
+            items = list(base)
+            if odd is not None:
+                items[at] = (items[at][0], odd)
+            if keys == "drop":
+                items = items[1:]
+            elif keys == "extra":
+                items.append((rec, 0))
+            sides = make(items), make(items)
+            got = outcome(decode, spec, receiver, c, sides[0])
+            assert got == outcome(check, spec, receiver, c, sides[1]), (kdu, receiver, items)
+            assert dict(sides[0]) == dict(sides[1])  # no key added
+
+
+@pytest.mark.parametrize("kdu", [(9, 0, 0), (9, 1, 0), (9, 3, 1)])
+def test_decoded_specs_pickle_and_deepcopy(kdu):
+    # what a decode caches on a spec or its graph must round-trip too
+    inst = snc.SncInstance(*kdu)
+    spec, baseline = codec.build_code(inst), mds.build_mds(inst)
+    x = [1, 0, 1, 1, 0, 0, 1, 0, 1]
+    c, cm = codec.encode(spec, x), mds.mds_encode(baseline, x)
+
+    def decoded(s, b):
+        return ([codec.decode(s, rec, c, {j: x[j] for j in known})
+                 for rec, known in enumerate(s.graph.known)],
+                [mds.mds_decode(b, rec, cm, {j: x[j] for j in known})
+                 for rec, known in enumerate(b.graph.known)])
+
+    want = decoded(spec, baseline)
+    assert want == (x, x)
+    for clone in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy):
+        s, b, graph = clone(spec), clone(baseline), clone(spec.graph)
+        assert graph == spec.graph and graph.side_values(0, {j: 1 for j in graph.known[0]}) \
+            == (1,) * len(graph.known[0])
+        assert decoded(s, b) == want
